@@ -1,8 +1,8 @@
 //! Roster-wide encoding contract: every algorithm's canonical bit-packed
 //! state encoding must round-trip exactly (`decode(encode(s)) == s`),
 //! re-encode deterministically, and drive the compact exploration engine to
-//! the byte-identical `.aut` the rich-struct engine produces — at any
-//! worker count, staged or fused.
+//! the byte-identical `.aut` the rich-struct oracle produces — at any
+//! worker count.
 
 use bb_algorithms::abstracts::{AbsCcas, AbsQueue, AbsRdcss};
 use bb_algorithms::ccas::Ccas;
@@ -22,8 +22,11 @@ use bb_algorithms::treiber::Treiber;
 use bb_algorithms::treiber_hp::TreiberHp;
 use bb_algorithms::treiber_hp_fu::TreiberHpFu;
 use bb_algorithms::two_lock_queue::TwoLockQueue;
-use bb_lts::{to_aut, CodecSemantics, ExploreLimits, ExploreOptions, Jobs, Semantics};
-use bb_sim::{explore_system_fused, explore_system_with, Bound, ObjectAlgorithm, System};
+use bb_lts::{
+    oracle, to_aut, Budget, CodecSemantics, ExhaustReason, ExploreLimits, ExploreOptions, Jobs,
+    Semantics, Stage, Watchdog,
+};
+use bb_sim::{explore_system_with, Bound, ObjectAlgorithm, System};
 use std::collections::HashSet;
 
 /// BFS over the rich semantics, round-tripping every reachable state
@@ -52,29 +55,17 @@ fn assert_roundtrip<A: ObjectAlgorithm>(alg: &A, bound: Bound) -> usize {
     seen.len()
 }
 
-/// The compact engine must emit the byte-identical `.aut` the rich engine
-/// does, at jobs {1, 4}, staged and fused.
+/// The compact engine must emit the byte-identical `.aut` the rich oracle
+/// does, at jobs {1, 4}.
 fn assert_aut_identical<A: ObjectAlgorithm>(alg: &A, bound: Bound) {
     let limits = ExploreLimits::default();
-    let rich = explore_system_with(alg, bound, &ExploreOptions::limits(limits).with_compact(false))
-        .unwrap();
+    let system = System::new(alg, bound);
+    let (rich, _) = oracle::explore_rich(&system, &ExploreOptions::limits(limits)).unwrap();
     let reference = to_aut(&rich);
     for jobs in [1, 4] {
-        for fuse in [false, true] {
-            let opts = ExploreOptions::limits(limits).with_jobs(Jobs::new(jobs));
-            let aut = if fuse {
-                let (lts, _) = explore_system_fused(alg, bound, &opts).unwrap();
-                to_aut(&lts)
-            } else {
-                to_aut(&explore_system_with(alg, bound, &opts).unwrap())
-            };
-            assert_eq!(
-                reference,
-                aut,
-                "{}: compact .aut differs (jobs={jobs}, fuse={fuse})",
-                alg.name()
-            );
-        }
+        let opts = ExploreOptions::limits(limits).with_jobs(Jobs::new(jobs));
+        let aut = to_aut(&explore_system_with(alg, bound, &opts).unwrap());
+        assert_eq!(reference, aut, "{}: compact .aut differs (jobs={jobs})", alg.name());
     }
 }
 
@@ -127,4 +118,18 @@ fn coarse_locked_spec_round_trips_and_matches() {
     // The generic lock wrapper exercises the hand-written `Pack` impl for
     // `coarse::Shared<S>` over a heap-free sequential spec.
     check(&CoarseLocked::new(SeqStack::new(&[1])), Bound::new(2, 2));
+}
+
+/// The out-of-core window the compact store opens: under a 6 MB memory cap
+/// the rich hash-map oracle exhausts newcas 3-3 during exploration. (The
+/// compact store plus `--spill` proving the same case under the same cap
+/// is an end-to-end CLI check.)
+#[test]
+fn rich_store_exhausts_newcas_3_3_under_a_6mb_cap() {
+    let wd = Watchdog::new(Budget::unlimited().with_max_memory_bytes(6_000_000));
+    let newcas = NewCas::new(2);
+    let system = System::new(&newcas, Bound::new(3, 3));
+    let err = oracle::explore_rich(&system, &ExploreOptions::governed(&wd)).unwrap_err();
+    assert_eq!(err.stage, Stage::Explore);
+    assert_eq!(err.reason, ExhaustReason::Memory);
 }

@@ -4,6 +4,7 @@
 
 use bb_algorithms::{ms_queue::MsQueue, specs::SeqQueue, specs::SeqStack, treiber::Treiber};
 use bb_bench::{bench_loop, lts_of};
+use bb_lts::Jobs;
 use bb_core::verify_linearizability;
 use bb_refine::{trace_refines, trace_refines_with, RefineOptions};
 use bb_sim::AtomicSpec;
@@ -13,13 +14,13 @@ fn main() {
     let cases: Vec<(&str, bb_lts::Lts, bb_lts::Lts)> = vec![
         (
             "ms-2-2",
-            lts_of(&MsQueue::new(&[1]), 2, 2),
-            lts_of(&AtomicSpec::new(SeqQueue::new(&[1])), 2, 2),
+            lts_of(&MsQueue::new(&[1]), 2, 2, Jobs::serial()),
+            lts_of(&AtomicSpec::new(SeqQueue::new(&[1])), 2, 2, Jobs::serial()),
         ),
         (
             "treiber-2-2",
-            lts_of(&Treiber::new(&[1]), 2, 2),
-            lts_of(&AtomicSpec::new(SeqStack::new(&[1])), 2, 2),
+            lts_of(&Treiber::new(&[1]), 2, 2, Jobs::serial()),
+            lts_of(&AtomicSpec::new(SeqStack::new(&[1])), 2, 2, Jobs::serial()),
         ),
     ];
 

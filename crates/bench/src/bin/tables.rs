@@ -17,14 +17,14 @@
 //! from the paper (different front end, hardware and heap canonicalization
 //! — see DESIGN.md); the *shape* of every result is reproduced.
 
-use bb_bench::{check, lts_of_jobs, mark, try_lts_of_jobs};
+use bb_bench::{check, lts_of, mark, try_lts_of};
 use bb_bisim::{
-    bisimilar_governed_jobs, partition_jobs, partition_with_stats, partition_with_stats_pre,
-    quotient, Equivalence, PartitionOptions, RefineMode,
+    bisimilar_opts, oracle, partition_with, partition_with_stats, quotient, Equivalence,
+    PartitionOptions,
 };
 use bb_core::{
-    verify_case_lts, verify_case_lts_pre, verify_linearizability_jobs, verify_lock_freedom_jobs,
-    verify_lock_freedom_via_abstraction_jobs, VerifyConfig,
+    verify_case_lts, verify_linearizability_opts, verify_lock_freedom_opts,
+    verify_lock_freedom_via_abstraction, LockFreeReport, VerifyConfig,
 };
 use bb_ktrace::{classify_tau_edges, KtraceLimits};
 use bb_lts::{ExploreOptions, Jobs, Lts, Watchdog};
@@ -59,25 +59,7 @@ fn main() {
             std::process::exit(3);
         }
     };
-    let refine = match parse_refine(&args) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(3);
-        }
-    };
     let cache = match parse_cache(&args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(3);
-        }
-    };
-    // `--fuse`: stream exploration into refinement (`verdicts`) and add the
-    // fused+sharded column (`perf`). Output lines are byte-identical with
-    // fusion on or off — the fusion CI job diffs exactly that.
-    let fuse = args.iter().any(|a| a == "--fuse");
-    let compact = match parse_compact(&args) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}");
@@ -87,7 +69,7 @@ fn main() {
     let cmd = args.first().map(String::as_str).unwrap_or("all");
     match cmd {
         "reduce" => guarded("reduce", || reduce_table(large, jobs)),
-        "verdicts" => guarded("verdicts", || verdicts(reduce, refine, jobs, cache, fuse, compact)),
+        "verdicts" => guarded("verdicts", || verdicts(reduce, jobs, cache)),
         "perf" => {
             let against = match parse_against(&args) {
                 Ok(a) => a,
@@ -124,8 +106,7 @@ fn main() {
             eprintln!(
                 "usage: tables [table1..table7|fig10|reduce|verdicts|phases|perf|all] \
                  [--large] [--jobs N] [--reduce none|sym|por|full] \
-                 [--refine full|incremental] [--fuse] [--compact on|off] [--out FILE] \
-                 [--cache DIR] [--against BASELINE.json] [--max-regress PCT]"
+                 [--out FILE] [--cache DIR] [--against BASELINE.json] [--max-regress PCT]"
             );
             std::process::exit(3);
         }
@@ -140,34 +121,6 @@ fn parse_reduce(args: &[String]) -> Result<ReduceMode, String> {
     args.get(pos + 1)
         .ok_or("--reduce needs a mode: none, sym, por, full")?
         .parse()
-}
-
-/// Parses `--refine MODE` (default: the engine default, incremental).
-/// Both engines compute identical partitions; `verdicts` runs once per mode
-/// in CI and the outputs are diffed byte-for-byte.
-fn parse_refine(args: &[String]) -> Result<RefineMode, String> {
-    let Some(pos) = args.iter().position(|a| a == "--refine") else {
-        return Ok(RefineMode::default());
-    };
-    args.get(pos + 1)
-        .ok_or("--refine needs a mode: full or incremental")?
-        .parse()
-}
-
-/// Parses `--compact on|off` (default on). `verdicts --compact off` runs the
-/// sweep through the rich-struct hash-map seen-set instead of the bit-packed
-/// arena — CI byte-diffs the two stdout streams to pin down that the store
-/// never influences a verdict.
-fn parse_compact(args: &[String]) -> Result<bool, String> {
-    let Some(pos) = args.iter().position(|a| a == "--compact") else {
-        return Ok(true);
-    };
-    match args.get(pos + 1).map(String::as_str) {
-        Some("on") => Ok(true),
-        Some("off") => Ok(false),
-        Some(other) => Err(format!("--compact: expected on or off, got `{other}`")),
-        None => Err("--compact needs on or off".into()),
-    }
 }
 
 /// Parses `--out FILE` for the `perf` subcommand (default: BENCH_5.json).
@@ -236,6 +189,21 @@ fn parse_jobs(args: &[String]) -> Result<Jobs, String> {
     Ok(Jobs::new(n))
 }
 
+/// `|lts/≈|`, refined on `jobs` workers.
+fn quotient_states(lts: &Lts, jobs: Jobs) -> usize {
+    let opts = PartitionOptions::default().with_jobs(jobs);
+    let p = partition_with(lts, Equivalence::Branching, &Watchdog::unlimited(), opts)
+        .expect("an unlimited watchdog never trips");
+    quotient(lts, &p).lts.num_states()
+}
+
+/// Theorem 5.9 on `jobs` refinement workers.
+fn lock_freedom(imp: &Lts, jobs: Jobs) -> LockFreeReport {
+    let opts = PartitionOptions::default().with_jobs(jobs);
+    verify_lock_freedom_opts(imp, &Watchdog::unlimited(), opts)
+        .expect("an unlimited watchdog never trips")
+}
+
 /// Runs one table with panic isolation: a fault in any table aborts only
 /// that table, so an `all` sweep still produces every other result.
 fn guarded(name: &str, f: impl FnOnce()) {
@@ -273,13 +241,13 @@ fn table1(jobs: Jobs) {
         }
     };
 
-    row("HW queue", "3-1", true, &lts_of_jobs(&HwQueue::for_bound(&[1, 2], 3, 1), 3, 1, jobs));
-    row("MS queue", "3-2", true, &lts_of_jobs(&MsQueue::new(&[1]), 3, 2, jobs));
-    row("DGLM queue", "3-2", true, &lts_of_jobs(&DglmQueue::new(&[1]), 3, 2, jobs));
-    row("Treiber stack", "2-2", false, &lts_of_jobs(&Treiber::new(&[1]), 2, 2, jobs));
-    row("NewCompareAndSet", "2-2", false, &lts_of_jobs(&NewCas::new(2), 2, 2, jobs));
-    row("CCAS", "2-3", true, &lts_of_jobs(&Ccas::new(2), 2, 3, jobs));
-    row("RDCSS", "2-3", true, &lts_of_jobs(&Rdcss::new(2), 2, 3, jobs));
+    row("HW queue", "3-1", true, &lts_of(&HwQueue::for_bound(&[1, 2], 3, 1), 3, 1, jobs));
+    row("MS queue", "3-2", true, &lts_of(&MsQueue::new(&[1]), 3, 2, jobs));
+    row("DGLM queue", "3-2", true, &lts_of(&DglmQueue::new(&[1]), 3, 2, jobs));
+    row("Treiber stack", "2-2", false, &lts_of(&Treiber::new(&[1]), 2, 2, jobs));
+    row("NewCompareAndSet", "2-2", false, &lts_of(&NewCas::new(2), 2, 2, jobs));
+    row("CCAS", "2-3", true, &lts_of(&Ccas::new(2), 2, 3, jobs));
+    row("RDCSS", "2-3", true, &lts_of(&Rdcss::new(2), 2, 3, jobs));
 }
 
 // ----------------------------------------------------------------- Table II
@@ -299,8 +267,8 @@ fn table2(jobs: Jobs) {
             let cfg_col = format!("{}-{}", $th, $op);
             let outcome = bb_core::run_isolated(|| -> Result<String, bb_lts::ExploreError> {
                 let bound = Bound::new($th, $op);
-                let imp = try_lts_of_jobs(&$alg, $th, $op, jobs)?;
-                let spec = try_lts_of_jobs(&AtomicSpec::new($spec), $th, $op, jobs)?;
+                let imp = try_lts_of(&$alg, $th, $op, jobs)?;
+                let spec = try_lts_of(&AtomicSpec::new($spec), $th, $op, jobs)?;
                 let mut cfg = VerifyConfig::new(bound).with_jobs(jobs);
                 if !$lf {
                     cfg = cfg.linearizability_only();
@@ -370,9 +338,9 @@ fn table3(large: bool, jobs: Jobs) {
         configs.extend([(2, 4), (2, 5), (3, 2)]);
     }
     for (th, op) in configs {
-        let imp = lts_of_jobs(&MsQueue::new(&[1, 2]), th, op, jobs);
+        let imp = lts_of(&MsQueue::new(&[1, 2]), th, op, jobs);
         let t0 = Instant::now();
-        let r = verify_lock_freedom_jobs(&imp, jobs);
+        let r = lock_freedom(&imp, jobs);
         println!(
             "{:>7} {:>12} {:>10} {:>22} {:>9.2?}",
             format!("{th}-{op}"),
@@ -397,9 +365,9 @@ fn table4(large: bool, jobs: Jobs) {
         configs.extend([(2, 3), (2, 4)]);
     }
     for (th, op) in configs {
-        let imp = lts_of_jobs(&HmList::revised(&[1, 2]), th, op, jobs);
+        let imp = lts_of(&HmList::revised(&[1, 2]), th, op, jobs);
         let t0 = Instant::now();
-        let r = verify_lock_freedom_jobs(&imp, jobs);
+        let r = lock_freedom(&imp, jobs);
         println!(
             "{:>7} {:>12} {:>10} {:>22} {:>9.2?}",
             format!("{th}-{op}"),
@@ -420,9 +388,9 @@ fn table5(jobs: Jobs) {
         "#Th-#Op", "|Δ_HW|", "|Δ_HW/≈|", "lock-free (Thm 5.9)", "time"
     );
     let (th, op) = (3u8, 1u32);
-    let imp = lts_of_jobs(&HwQueue::for_bound(&[1], th, op), th, op, jobs);
+    let imp = lts_of(&HwQueue::for_bound(&[1], th, op), th, op, jobs);
     let t0 = Instant::now();
-    let r = verify_lock_freedom_jobs(&imp, jobs);
+    let r = lock_freedom(&imp, jobs);
     println!(
         "{:>7} {:>12} {:>10} {:>22} {:>9.2?}",
         format!("{th}-{op}"),
@@ -452,34 +420,32 @@ fn table6(large: bool, jobs: Jobs) {
     if large {
         configs.extend([(2, 4), (3, 2)]);
     }
+    let wd = Watchdog::unlimited();
+    let popts = PartitionOptions::default().with_jobs(jobs);
     for (th, op) in configs {
         let dom: &[i64] = &[1, 2];
-        let ms = lts_of_jobs(&MsQueue::new(dom), th, op, jobs);
-        let dglm = lts_of_jobs(&DglmQueue::new(dom), th, op, jobs);
-        let spec = lts_of_jobs(&AtomicSpec::new(SeqQueue::new(dom)), th, op, jobs);
-        let abs = lts_of_jobs(&AbsQueue::new(dom), th, op, jobs);
+        let ms = lts_of(&MsQueue::new(dom), th, op, jobs);
+        let dglm = lts_of(&DglmQueue::new(dom), th, op, jobs);
+        let spec = lts_of(&AtomicSpec::new(SeqQueue::new(dom)), th, op, jobs);
+        let abs = lts_of(&AbsQueue::new(dom), th, op, jobs);
 
-        let spec_q = {
-            let p = partition_jobs(&spec, Equivalence::Branching, jobs);
-            quotient(&spec, &p).lts.num_states()
-        };
-        let ms_q = {
-            let p = partition_jobs(&ms, Equivalence::Branching, jobs);
-            quotient(&ms, &p).lts.num_states()
-        };
+        let spec_q = quotient_states(&spec, jobs);
+        let ms_q = quotient_states(&ms, jobs);
 
         let t0 = Instant::now();
-        let lf_ms = verify_lock_freedom_via_abstraction_jobs(&ms, &abs, jobs);
+        let lf_ms = verify_lock_freedom_via_abstraction(&ms, &abs);
         let t_lf_ms = t0.elapsed();
         let t0 = Instant::now();
-        let lf_dglm = verify_lock_freedom_via_abstraction_jobs(&dglm, &abs, jobs);
+        let lf_dglm = verify_lock_freedom_via_abstraction(&dglm, &abs);
         let t_lf_dglm = t0.elapsed();
 
         let t0 = Instant::now();
-        let lin_ms = verify_linearizability_jobs(&ms, &spec, jobs);
+        let lin_ms = verify_linearizability_opts(&ms, &spec, &wd, popts)
+            .expect("an unlimited watchdog never trips");
         let t_lin_ms = t0.elapsed();
         let t0 = Instant::now();
-        let lin_dglm = verify_linearizability_jobs(&dglm, &spec, jobs);
+        let lin_dglm = verify_linearizability_opts(&dglm, &spec, &wd, popts)
+            .expect("an unlimited watchdog never trips");
         let t_lin_dglm = t0.elapsed();
 
         let lf_ok = lf_ms.concrete_lock_free == Some(true)
@@ -517,20 +483,15 @@ fn table7(jobs: Jobs) {
 
     macro_rules! row {
         ($name:expr, $alg:expr, $spec:expr, $th:expr, $op:expr) => {{
-            let imp = lts_of_jobs(&$alg, $th, $op, jobs);
-            let spec = lts_of_jobs(&AtomicSpec::new($spec), $th, $op, jobs);
-            let dq = {
-                let p = partition_jobs(&imp, Equivalence::Branching, jobs);
-                quotient(&imp, &p).lts.num_states()
-            };
-            let sq = {
-                let p = partition_jobs(&spec, Equivalence::Branching, jobs);
-                quotient(&spec, &p).lts.num_states()
-            };
+            let imp = lts_of(&$alg, $th, $op, jobs);
+            let spec = lts_of(&AtomicSpec::new($spec), $th, $op, jobs);
+            let dq = quotient_states(&imp, jobs);
+            let sq = quotient_states(&spec, jobs);
             let wd = Watchdog::unlimited();
-            let w = bisimilar_governed_jobs(&imp, &spec, Equivalence::Weak, &wd, jobs)
+            let popts = PartitionOptions::default().with_jobs(jobs);
+            let w = bisimilar_opts(&imp, &spec, Equivalence::Weak, &wd, popts)
                 .expect("an unlimited watchdog never trips");
-            let b = bisimilar_governed_jobs(&imp, &spec, Equivalence::Branching, &wd, jobs)
+            let b = bisimilar_opts(&imp, &spec, Equivalence::Branching, &wd, popts)
                 .expect("an unlimited watchdog never trips");
             println!(
                 "{:>7} {:<12} {:>10} {:>8} {:>9} {:>9} {:>5} {:>5}",
@@ -589,15 +550,14 @@ fn fig10(large: bool, jobs: Jobs) {
                         break;
                     }
                 };
-                let p = partition_jobs(&lts, Equivalence::Branching, jobs);
-                let q = quotient(&lts, &p);
+                let q = quotient_states(&lts, jobs);
                 println!(
                     "{:<28} {:>4} {:>12} {:>10} {:>10.1}",
                     $name,
                     op,
                     lts.num_states(),
-                    q.lts.num_states(),
-                    lts.num_states() as f64 / q.lts.num_states() as f64
+                    q,
+                    lts.num_states() as f64 / q as f64
                 );
             }
         }};
@@ -700,8 +660,8 @@ fn phases(jobs: Jobs) {
         ($name:expr, $alg:expr, $spec:expr, $th:expr, $op:expr) => {{
             bb_obs::install(bb_obs::ObsConfig { progress: false, quiet: true });
             let outcome = bb_core::run_isolated(|| -> Result<(), bb_lts::ExploreError> {
-                let imp = try_lts_of_jobs(&$alg, $th, $op, jobs)?;
-                let spec = try_lts_of_jobs(&AtomicSpec::new($spec), $th, $op, jobs)?;
+                let imp = try_lts_of(&$alg, $th, $op, jobs)?;
+                let spec = try_lts_of(&AtomicSpec::new($spec), $th, $op, jobs)?;
                 let cfg = VerifyConfig::new(Bound::new($th, $op)).with_jobs(jobs);
                 let _ = verify_case_lts($name, cfg, &imp, &spec);
                 Ok(())
@@ -757,24 +717,15 @@ fn phases(jobs: Jobs) {
 /// second sweep replays every line byte-identically from the cache (CI runs
 /// the roster twice and requires the second pass to be all hits).
 ///
-/// With `--fuse`, exploration streams straight into refinement: predecessor
-/// tables are accumulated during the BFS merge and handed to the verifier,
-/// skipping the separate counting pass. The flag is deliberately *excluded*
-/// from the cache key — fused and staged runs print byte-identical lines, and
-/// the fusion CI job diffs the two sweeps to enforce exactly that.
-fn verdicts(
-    reduce: ReduceMode,
-    refine: RefineMode,
-    jobs: Jobs,
-    cache: Option<Cache>,
-    fuse: bool,
-    compact: bool,
-) {
+/// The key's `refine=incremental` segment is a compatibility constant from
+/// when the refinement engine was selectable: it keeps existing cache
+/// entries valid.
+fn verdicts(reduce: ReduceMode, jobs: Jobs, cache: Option<Cache>) {
     let (mut hits, mut misses) = (0u32, 0u32);
     macro_rules! case {
         ($name:expr, $alg:expr, $spec:expr, $th:expr, $op:expr, $lf:expr) => {{
             let key = format!(
-                "bbench{}.{}|verdict|{}|{}-{}|lf{}|reduce={reduce}|refine={refine}",
+                "bbench{}.{}|verdict|{}|{}-{}|lf{}|reduce={reduce}|refine=incremental",
                 bb_persist::FORMAT_VERSION,
                 bb_sim::STATE_ENCODING_VERSION,
                 $name,
@@ -788,58 +739,26 @@ fn verdicts(
             } else {
                 misses += 1;
                 let bound = Bound::new($th, $op);
-                let opts = ExploreOptions::limits(bb_lts::ExploreLimits::default())
-                    .with_jobs(jobs)
-                    .with_compact(compact);
+                let opts =
+                    ExploreOptions::limits(bb_lts::ExploreLimits::default()).with_jobs(jobs);
                 let outcome =
                     bb_core::run_isolated(|| -> Result<String, bb_lts::budget::Exhausted> {
-                        // Reduced exploration rebuilds the LTS, so fusion
-                        // only applies to the unreduced sweep (same rule as
-                        // `bbv --fuse`).
-                        let (imp, spec, imp_preds, spec_preds) = if reduce == ReduceMode::None {
-                            if fuse {
-                                let (i, ip) = bb_sim::explore_system_fused(&$alg, bound, &opts)?;
-                                let (s, sp) = bb_sim::explore_system_fused(
-                                    &AtomicSpec::new($spec),
-                                    bound,
-                                    &opts,
-                                )?;
-                                (i, s, Some(ip), Some(sp))
-                            } else {
-                                (
-                                    bb_sim::explore_system_with(&$alg, bound, &opts)?,
-                                    bb_sim::explore_system_with(
-                                        &AtomicSpec::new($spec),
-                                        bound,
-                                        &opts,
-                                    )?,
-                                    None,
-                                    None,
-                                )
-                            }
+                        let (imp, spec) = if reduce == ReduceMode::None {
+                            (
+                                bb_sim::explore_system_with(&$alg, bound, &opts)?,
+                                bb_sim::explore_system_with(&AtomicSpec::new($spec), bound, &opts)?,
+                            )
                         } else {
                             (
                                 explore_reduced(&$alg, bound, reduce, &opts)?.0,
                                 explore_reduced(&AtomicSpec::new($spec), bound, reduce, &opts)?.0,
-                                None,
-                                None,
                             )
                         };
-                        let mut cfg = VerifyConfig::new(bound)
-                            .with_jobs(jobs)
-                            .with_refine(refine)
-                            .with_fuse(fuse);
+                        let mut cfg = VerifyConfig::new(bound).with_jobs(jobs);
                         if !$lf {
                             cfg = cfg.linearizability_only();
                         }
-                        let r = verify_case_lts_pre(
-                            $name,
-                            cfg,
-                            &imp,
-                            &spec,
-                            imp_preds.as_ref(),
-                            spec_preds.as_ref(),
-                        );
+                        let r = verify_case_lts($name, cfg, &imp, &spec);
                         let lf_mark = match &r.lock_freedom {
                             None => "—".to_string(),
                             Some(l) => check(l.lock_free).to_string(),
@@ -910,13 +829,6 @@ fn verdicts(
 
 // --------------------------------------------------- refinement engine perf
 
-/// Worker count for the fused+sharded `perf` column (and `BENCH_7.json`):
-/// one shard per available hardware thread — forcing more shards than cores
-/// only adds spawn/join overhead to the measurement.
-fn fused_jobs() -> Jobs {
-    Jobs::available()
-}
-
 /// One `perf` roster entry: full vs incremental refinement on the same LTS.
 struct PerfRow {
     name: &'static str,
@@ -931,57 +843,34 @@ struct PerfRow {
     inc_dirty_states: u64,
     inc_us: u128,
     inc_peak_sig_bytes: usize,
-    fused_recomputes: u64,
-    fused_us: u128,
 }
 
-/// Measures one roster case under both refinement engines, plus the fused
-/// configuration (incremental + worklists sharded across available cores,
-/// fed a pre-built predecessor table as pipeline fusion would). All three
-/// partitions are asserted equal (block ids included); the statistics are
-/// deterministic and taken from the last sample, while the wall-clock is the
-/// best of `samples` runs.
+/// Measures one roster case under the full-engine oracle and the
+/// incremental engine. The partitions are asserted equal (block ids
+/// included); the statistics are deterministic and taken from the last
+/// sample, while the wall-clock is the best of `samples` runs.
 fn perf_row(name: &'static str, th: u8, op: u32, lts: &Lts, samples: u32) -> PerfRow {
     let eq = Equivalence::Branching;
-    let full_opts = PartitionOptions::default().with_mode(RefineMode::Full);
-    let inc_opts = PartitionOptions::default().with_mode(RefineMode::Incremental);
-    let fused_opts = PartitionOptions::default()
-        .with_mode(RefineMode::Incremental)
-        .with_jobs(fused_jobs());
-    // Fusion hands refinement the predecessor table built during exploration;
-    // here the table is prebuilt outside the timed region to model that.
-    let preds = lts.predecessor_table();
-
+    let opts = PartitionOptions::default();
     let mut full_us = u128::MAX;
     let mut inc_us = u128::MAX;
-    let mut fused_us = u128::MAX;
-    let (mut p_full, mut full_stats) = partition_with_stats(lts, eq, full_opts);
-    let (mut p_inc, mut inc_stats) = partition_with_stats(lts, eq, inc_opts);
-    let (mut p_fused, mut fused_stats) = partition_with_stats_pre(lts, eq, fused_opts, Some(&preds));
+    let (mut p_full, mut full_stats) = oracle::partition_full_with_stats(lts, eq, opts);
+    let (mut p_inc, mut inc_stats) = partition_with_stats(lts, eq, opts);
     for _ in 0..samples {
         let t0 = Instant::now();
-        let (p, s) = partition_with_stats(lts, eq, full_opts);
+        let (p, s) = oracle::partition_full_with_stats(lts, eq, opts);
         full_us = full_us.min(t0.elapsed().as_micros());
         (p_full, full_stats) = (p, s);
         let t0 = Instant::now();
-        let (p, s) = partition_with_stats(lts, eq, inc_opts);
+        let (p, s) = partition_with_stats(lts, eq, opts);
         inc_us = inc_us.min(t0.elapsed().as_micros());
         (p_inc, inc_stats) = (p, s);
-        let t0 = Instant::now();
-        let (p, s) = partition_with_stats_pre(lts, eq, fused_opts, Some(&preds));
-        fused_us = fused_us.min(t0.elapsed().as_micros());
-        (p_fused, fused_stats) = (p, s);
     }
     assert_eq!(
         p_full, p_inc,
         "{name} {th}-{op}: full and incremental partitions must be identical"
     );
-    assert_eq!(
-        p_full, p_fused,
-        "{name} {th}-{op}: fused+sharded partition must match the serial engines"
-    );
     assert_eq!(full_stats.rounds, inc_stats.rounds);
-    assert_eq!(full_stats.rounds, fused_stats.rounds);
     PerfRow {
         name,
         bound: format!("{th}-{op}"),
@@ -995,8 +884,6 @@ fn perf_row(name: &'static str, th: u8, op: u32, lts: &Lts, samples: u32) -> Per
         inc_dirty_states: inc_stats.dirty_states,
         inc_us,
         inc_peak_sig_bytes: inc_stats.peak_sig_bytes,
-        fused_recomputes: fused_stats.sig_recomputes,
-        fused_us,
     }
 }
 
@@ -1029,12 +916,12 @@ fn store_row<A: bb_sim::ObjectAlgorithm>(
 ) -> StoreRow {
     let bound = Bound::new(th, op);
     let opts = ExploreOptions::limits(bb_lts::ExploreLimits::default()).with_jobs(Jobs::serial());
-    let rich_opts = opts.with_compact(false);
+    let system = bb_sim::System::new(alg, bound);
     let (mut rich_us, mut compact_us) = (u128::MAX, u128::MAX);
     let (mut rich, mut compact) = (None, None);
     for _ in 0..samples {
         let t0 = Instant::now();
-        let r = bb_sim::explore_system_report(alg, bound, &rich_opts).expect("unbudgeted");
+        let r = bb_lts::oracle::explore_rich(&system, &opts).expect("unbudgeted");
         rich_us = rich_us.min(t0.elapsed().as_micros());
         rich = Some(r);
         let t0 = Instant::now();
@@ -1063,13 +950,10 @@ fn store_row<A: bb_sim::ObjectAlgorithm>(
     }
 }
 
-/// `perf` — full vs incremental vs fused+sharded partition refinement on a
-/// fixed seeded roster. Writes a machine-readable JSON report (schema
+/// `perf` — the full-engine oracle vs the incremental engine on a fixed
+/// seeded roster. Writes a machine-readable JSON report (schema
 /// `bb-bench/perf-v2`, default `BENCH_5.json`); the counters are
-/// deterministic, only the wall-clock columns vary run to run. The `fused`
-/// column is the incremental engine with worklists sharded across
-/// `FUSED_JOBS` threads and the predecessor table inherited from exploration
-/// (what `--fuse` produces end to end).
+/// deterministic, only the wall-clock columns vary run to run.
 ///
 /// With `--against BASELINE.json` the run becomes the CI regression gate:
 /// the fresh report is diffed against the committed baseline
@@ -1078,31 +962,30 @@ fn store_row<A: bb_sim::ObjectAlgorithm>(
 /// beyond `--max-regress PCT`.
 fn perf(out: &str, against: Option<&Against>) {
     const SAMPLES: u32 = 3;
-    println!("\n=== Refinement engine — full vs incremental vs fused (branching) ===");
+    println!("\n=== Refinement engine — full vs incremental (branching) ===");
     println!("(best of {SAMPLES} runs; counters deterministic, partitions asserted equal)\n");
     println!(
-        "{:<12} {:>5} {:>9} {:>10} {:>7} {:>12} {:>12} {:>8} {:>10} {:>10} {:>10}",
+        "{:<12} {:>5} {:>9} {:>10} {:>7} {:>12} {:>12} {:>8} {:>10} {:>10}",
         "Object", "#T-#O", "states", "trans", "rounds", "full recomp", "inc recomp", "dirty/n",
-        "full time", "inc time", "fused time"
+        "full time", "inc time"
     );
 
     let jobs = Jobs::serial();
     let rows = [
-        perf_row("treiber", 2, 2, &lts_of_jobs(&Treiber::new(&[1]), 2, 2, jobs), SAMPLES),
-        perf_row("lazy-list", 2, 1, &lts_of_jobs(&LazyList::new(&[1]), 2, 1, jobs), SAMPLES),
-        perf_row("lazy-list", 2, 2, &lts_of_jobs(&LazyList::new(&[1]), 2, 2, jobs), SAMPLES),
-        perf_row("ms-queue", 2, 2, &lts_of_jobs(&MsQueue::new(&[1, 2]), 2, 2, jobs), SAMPLES),
+        perf_row("treiber", 2, 2, &lts_of(&Treiber::new(&[1]), 2, 2, jobs), SAMPLES),
+        perf_row("lazy-list", 2, 1, &lts_of(&LazyList::new(&[1]), 2, 1, jobs), SAMPLES),
+        perf_row("lazy-list", 2, 2, &lts_of(&LazyList::new(&[1]), 2, 2, jobs), SAMPLES),
+        perf_row("ms-queue", 2, 2, &lts_of(&MsQueue::new(&[1, 2]), 2, 2, jobs), SAMPLES),
         // The raised roster rungs (PR 10): the bounds the compact store makes
         // routinely affordable. Kept to cases whose refinement stays in
         // CI-budget seconds.
-        perf_row("treiber", 3, 2, &lts_of_jobs(&Treiber::new(&[1]), 3, 2, jobs), SAMPLES),
-        perf_row("newcas", 3, 3, &lts_of_jobs(&NewCas::new(2), 3, 3, jobs), SAMPLES),
-        perf_row("newcas", 3, 4, &lts_of_jobs(&NewCas::new(2), 3, 4, jobs), SAMPLES),
+        perf_row("treiber", 3, 2, &lts_of(&Treiber::new(&[1]), 3, 2, jobs), SAMPLES),
+        perf_row("newcas", 3, 3, &lts_of(&NewCas::new(2), 3, 3, jobs), SAMPLES),
+        perf_row("newcas", 3, 4, &lts_of(&NewCas::new(2), 3, 4, jobs), SAMPLES),
     ];
 
     let mut json = String::from("{\n  \"schema\": \"bb-bench/perf-v2\",\n");
     json.push_str("  \"equivalence\": \"branching\",\n  \"jobs\": 1,\n");
-    json.push_str(&format!("  \"fused_jobs\": {},\n", fused_jobs().get()));
     json.push_str(&format!("  \"samples\": {SAMPLES},\n  \"entries\": [\n"));
     for (i, r) in rows.iter().enumerate() {
         let full_work = r.rounds as u64 * r.states as u64;
@@ -1113,7 +996,7 @@ fn perf(out: &str, against: Option<&Against>) {
             r.bound
         );
         println!(
-            "{:<12} {:>5} {:>9} {:>10} {:>7} {:>12} {:>12} {:>7.1}% {:>8}µs {:>8}µs {:>8}µs",
+            "{:<12} {:>5} {:>9} {:>10} {:>7} {:>12} {:>12} {:>7.1}% {:>8}µs {:>8}µs",
             r.name,
             r.bound,
             r.states,
@@ -1124,7 +1007,6 @@ fn perf(out: &str, against: Option<&Against>) {
             100.0 * r.inc_dirty_states as f64 / full_work.max(1) as f64,
             r.full_us,
             r.inc_us,
-            r.fused_us,
         );
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"bound\": \"{}\", \"states\": {}, \"transitions\": {}, \
@@ -1132,7 +1014,6 @@ fn perf(out: &str, against: Option<&Against>) {
              \"full\": {{\"sig_recomputes\": {}, \"peak_sig_bytes\": {}, \"min_wall_us\": {}}}, \
              \"incremental\": {{\"sig_recomputes\": {}, \"dirty_states\": {}, \
              \"peak_sig_bytes\": {}, \"min_wall_us\": {}}}, \
-             \"fused\": {{\"jobs\": {}, \"sig_recomputes\": {}, \"min_wall_us\": {}}}, \
              \"partitions_equal\": true}}{}\n",
             r.name,
             r.bound,
@@ -1146,9 +1027,6 @@ fn perf(out: &str, against: Option<&Against>) {
             r.inc_dirty_states,
             r.inc_peak_sig_bytes,
             r.inc_us,
-            fused_jobs().get(),
-            r.fused_recomputes,
-            r.fused_us,
             if i + 1 == rows.len() { "" } else { "," },
         ));
     }

@@ -16,19 +16,11 @@ fn sabotaged(name: &str) -> bool {
     std::env::var("BB_SABOTAGE").is_ok_and(|pat| !pat.is_empty() && name.contains(&pat))
 }
 
-/// Explores `alg` at `threads`-`ops` with default limits, returning the
-/// structured [`ExploreError`] (with partial statistics) on explosion.
+/// Explores `alg` at `threads`-`ops` with default limits on `jobs`
+/// exploration workers, returning the structured [`ExploreError`] (with
+/// partial statistics) on explosion. The LTS is bit-identical at any
+/// worker count.
 pub fn try_lts_of<A: ObjectAlgorithm>(
-    alg: &A,
-    threads: u8,
-    ops: u32,
-) -> Result<Lts, ExploreError> {
-    try_lts_of_jobs(alg, threads, ops, Jobs::serial())
-}
-
-/// [`try_lts_of`] with `jobs` exploration workers; the resulting LTS is
-/// bit-identical at any worker count.
-pub fn try_lts_of_jobs<A: ObjectAlgorithm>(
     alg: &A,
     threads: u8,
     ops: u32,
@@ -41,15 +33,10 @@ pub fn try_lts_of_jobs<A: ObjectAlgorithm>(
     explore_system_with(alg, Bound::new(threads, ops), &opts).map_err(ExploreError::from)
 }
 
-/// Explores `alg` at `threads`-`ops` with default limits, panicking on
-/// explosion (bench workloads are sized to fit).
-pub fn lts_of<A: ObjectAlgorithm>(alg: &A, threads: u8, ops: u32) -> Lts {
-    lts_of_jobs(alg, threads, ops, Jobs::serial())
-}
-
-/// [`lts_of`] with `jobs` exploration workers.
-pub fn lts_of_jobs<A: ObjectAlgorithm>(alg: &A, threads: u8, ops: u32, jobs: Jobs) -> Lts {
-    try_lts_of_jobs(alg, threads, ops, jobs)
+/// [`try_lts_of`], panicking on explosion (bench workloads are sized to
+/// fit).
+pub fn lts_of<A: ObjectAlgorithm>(alg: &A, threads: u8, ops: u32, jobs: Jobs) -> Lts {
+    try_lts_of(alg, threads, ops, jobs)
         .unwrap_or_else(|e| panic!("exploration of {} exceeded limits: {e}", alg.name()))
 }
 
@@ -99,12 +86,12 @@ mod tests {
         // Process-global env var: this is the only test in this binary that
         // touches exploration, so there is no cross-test interference.
         std::env::set_var("BB_SABOTAGE", "MS lock-free queue");
-        let outcome = bb_core::run_isolated(|| lts_of(&MsQueue::new(&[1]), 2, 1));
+        let outcome = bb_core::run_isolated(|| lts_of(&MsQueue::new(&[1]), 2, 1, Jobs::serial()));
         std::env::remove_var("BB_SABOTAGE");
         let msg = outcome.expect_err("sabotaged case must panic");
         assert!(msg.contains("BB_SABOTAGE"), "{msg}");
         // With the hook disarmed the same case builds fine.
-        let lts = lts_of(&MsQueue::new(&[1]), 2, 1);
+        let lts = lts_of(&MsQueue::new(&[1]), 2, 1, Jobs::serial());
         assert!(lts.num_states() > 1);
     }
 }

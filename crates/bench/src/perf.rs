@@ -11,8 +11,8 @@
 //!
 //! * **Wall-clock** is machine-dependent, so absolute times are never
 //!   compared across the baseline boundary. What is compared are the
-//!   *ratios within one run*: `incremental/full` and `fused/full` measured
-//!   now versus the same ratios in the baseline. The full engine acts as
+//!   *ratio within one run*: `incremental/full` measured now versus the
+//!   same ratio in the baseline. The full engine acts as
 //!   the per-machine yardstick; if the incremental engine used to run at
 //!   0.4× full and now runs at 0.9× full, something regressed no matter
 //!   how fast the machine is. Ratio checks are skipped for entries whose
@@ -20,7 +20,9 @@
 //!   the ratios are noise.
 //!
 //! A baseline entry with no matching entry in the current report is always
-//! a regression (a silently dropped case must fail the gate).
+//! a regression (a silently dropped case must fail the gate). Baselines
+//! written before the fused pipeline was retired (`BENCH_7`, `BENCH_10`)
+//! still carry a `fused` column per entry; the parser ignores it.
 
 use bb_obs::json::{parse, JsonValue};
 
@@ -47,14 +49,10 @@ pub struct PerfEntry {
     pub inc_recomputes: u64,
     /// Incremental-engine dirty-state total (deterministic).
     pub inc_dirty_states: u64,
-    /// Fused+sharded signature recomputations (deterministic).
-    pub fused_recomputes: u64,
     /// Full-engine best wall-clock, µs (machine-dependent).
     pub full_us: u64,
     /// Incremental-engine best wall-clock, µs (machine-dependent).
     pub inc_us: u64,
-    /// Fused+sharded best wall-clock, µs (machine-dependent).
-    pub fused_us: u64,
 }
 
 impl PerfEntry {
@@ -99,10 +97,8 @@ pub fn parse_report(text: &str) -> Result<Vec<PerfEntry>, String> {
             full_recomputes: n(&["full", "sig_recomputes"])?,
             inc_recomputes: n(&["incremental", "sig_recomputes"])?,
             inc_dirty_states: n(&["incremental", "dirty_states"])?,
-            fused_recomputes: n(&["fused", "sig_recomputes"])?,
             full_us: n(&["full", "min_wall_us"])?,
             inc_us: n(&["incremental", "min_wall_us"])?,
-            fused_us: n(&["fused", "min_wall_us"])?,
         });
     }
     Ok(out)
@@ -309,13 +305,6 @@ pub fn compare(baseline: &[PerfEntry], current: &[PerfEntry], max_pct: f64) -> V
             c.inc_dirty_states,
             max_pct,
         ));
-        checks.push(Check::counter(
-            &id,
-            "fused_recomputes",
-            b.fused_recomputes,
-            c.fused_recomputes,
-            max_pct,
-        ));
         // Time ratios: only meaningful when both runs' full engine spent
         // enough time for the ratio to be signal rather than scheduler
         // noise, and when the denominators are nonzero.
@@ -325,13 +314,6 @@ pub fn compare(baseline: &[PerfEntry], current: &[PerfEntry], max_pct: f64) -> V
                 "inc/full time ratio",
                 b.inc_us as f64 / b.full_us as f64,
                 c.inc_us as f64 / c.full_us as f64,
-                max_pct,
-            ));
-            checks.push(Check::ratio(
-                &id,
-                "fused/full time ratio",
-                b.fused_us as f64 / b.full_us as f64,
-                c.fused_us as f64 / c.full_us as f64,
                 max_pct,
             ));
         }
@@ -391,10 +373,8 @@ mod tests {
             full_recomputes: 10_000,
             inc_recomputes,
             inc_dirty_states: 2000,
-            fused_recomputes: inc_recomputes,
             full_us,
             inc_us,
-            fused_us: inc_us,
         }
     }
 
@@ -406,7 +386,7 @@ mod tests {
         // The sub-threshold entry contributes no ratio checks.
         assert_eq!(
             checks.iter().filter(|c| c.metric.contains("ratio")).count(),
-            2
+            1
         );
         assert_eq!(report(&checks, 25.0, |_| {}), 0);
     }
@@ -416,12 +396,10 @@ mod tests {
         let base = vec![sample("a", 20_000, 8_000, 3000)];
         let cur = vec![sample("a", 20_000, 8_000, 4000)];
         let checks = compare(&base, &cur, 25.0);
-        // `sample` ties fused_recomputes to inc_recomputes, so both trip.
         let bad: Vec<_> = checks.iter().filter(|c| c.regressed).collect();
-        assert_eq!(bad.len(), 2, "{checks:?}");
+        assert_eq!(bad.len(), 1, "{checks:?}");
         assert_eq!(bad[0].metric, "inc_recomputes");
-        assert_eq!(bad[1].metric, "fused_recomputes");
-        assert_eq!(report(&checks, 25.0, |_| {}), 2);
+        assert_eq!(report(&checks, 25.0, |_| {}), 1);
     }
 
     #[test]
@@ -447,8 +425,8 @@ mod tests {
             .into_iter()
             .filter(|c| c.regressed)
             .collect();
-        assert_eq!(bad.len(), 2, "inc/full and fused/full both regress");
-        assert!(bad.iter().all(|c| c.metric.contains("ratio")));
+        assert_eq!(bad.len(), 1, "inc/full regresses");
+        assert_eq!(bad[0].metric, "inc/full time ratio");
 
         // Same shape under the floor: no ratio checks at all.
         let base = vec![sample("a", 2_000, 800, 3000)];
@@ -526,10 +504,37 @@ mod tests {
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].id(), "treiber 2-2");
         assert_eq!(entries[0].full_recomputes, 19392);
-        assert_eq!(entries[0].fused_us, 500);
+        assert_eq!(entries[0].inc_us, 600);
+
+        // The emitted shape carries no `fused` column; both parse.
+        let unfused = text.replace(
+            r#""fused": {"jobs": 8, "sig_recomputes": 5000, "min_wall_us": 500},"#,
+            "",
+        );
+        assert_ne!(unfused, text);
+        assert_eq!(parse_report(&unfused).unwrap(), entries);
 
         assert!(parse_report("{}").is_err());
         assert!(parse_report("{\"schema\": \"bb-bench/perf-v1\", \"entries\": []}").is_err());
         assert!(parse_report("nope").is_err());
+    }
+
+    /// The committed CI baseline still parses after the fused column's
+    /// retirement, and gates clean against itself: no regression, and
+    /// every counter, ratio and store check still runs.
+    #[test]
+    fn committed_bench_10_gates_clean_against_itself() {
+        let text = include_str!("../../../BENCH_10.json");
+        let entries = parse_report(text).unwrap();
+        assert_eq!(entries.len(), 7);
+        let checks = compare(&entries, &entries, 25.0);
+        assert!(checks.iter().all(|c| !c.regressed), "{checks:?}");
+        assert!(checks.iter().any(|c| c.metric == "inc/full time ratio"));
+        assert!(checks.iter().any(|c| c.metric == "full_recomputes"));
+        let store = parse_store_report(text).unwrap();
+        assert_eq!(store.len(), 6);
+        let store_checks = compare_store(&store, &store, 25.0);
+        assert!(store_checks.iter().all(|c| !c.regressed), "{store_checks:?}");
+        assert_eq!(report(&checks, 25.0, |_| {}), 0);
     }
 }

@@ -213,7 +213,7 @@ mod tests {
         b.add_transition(s0, a, s2);
         b.add_transition(s1, bb, s2);
         let lts = b.build(s0);
-        let (p, h) = partition_with_history(&lts, Equivalence::Branching);
+        let (p, h) = partition_with_history(&lts, Equivalence::Branching, Default::default());
         assert!(!p.same_block(s0, s1));
         let f = distinguishing_formula(&lts, &h, Equivalence::Branching, s0, s1);
         let txt = f.to_string();
@@ -240,7 +240,7 @@ mod tests {
         b.add_transition(m0, bb, end);
         b.add_transition(m1, c, end);
         let lts = b.build(s0);
-        let (p, h) = partition_with_history(&lts, Equivalence::Branching);
+        let (p, h) = partition_with_history(&lts, Equivalence::Branching, Default::default());
         assert!(!p.same_block(s0, s1));
         let f = distinguishing_formula(&lts, &h, Equivalence::Branching, s0, s1);
         let txt = f.to_string();
@@ -263,7 +263,7 @@ mod tests {
         b.add_transition(s0, a, s2);
         b.add_transition(s1, a, s2);
         let lts = b.build(s0);
-        let (p, h) = partition_with_history(&lts, Equivalence::BranchingDiv);
+        let (p, h) = partition_with_history(&lts, Equivalence::BranchingDiv, Default::default());
         assert!(!p.same_block(s0, s1));
         let f = distinguishing_formula(&lts, &h, Equivalence::BranchingDiv, s0, s1);
         let txt = f.to_string();
@@ -281,7 +281,7 @@ mod tests {
         b.add_transition(s0, a, s2);
         b.add_transition(s1, a, s2);
         let lts = b.build(s0);
-        let (_, h) = partition_with_history(&lts, Equivalence::Branching);
+        let (_, h) = partition_with_history(&lts, Equivalence::Branching, Default::default());
         let _ = distinguishing_formula(&lts, &h, Equivalence::Branching, s0, s1);
     }
 }

@@ -54,10 +54,7 @@ mod quotient;
 mod signatures;
 pub mod snapshot;
 
-pub use compare::{
-    bisimilar, bisimilar_governed, bisimilar_governed_jobs, bisimilar_opts, bisimilar_states,
-    BisimCheck,
-};
+pub use compare::{bisimilar, bisimilar_opts, bisimilar_states, BisimCheck};
 pub use diagnostics::{distinguishing_formula, Formula};
 pub use divergence::{
     divergence_witness, divergence_witness_governed, divergent_states, has_tau_cycle,
@@ -66,9 +63,6 @@ pub use divergence::{
 pub use partition::{BlockId, Partition};
 pub use quotient::{div_quotient, div_quotient_opts, quotient, Quotient};
 pub use signatures::{
-    partition, partition_governed, partition_governed_jobs, partition_governed_opts,
-    partition_governed_pre, partition_jobs, partition_opts, partition_with_history,
-    partition_with_history_opts, partition_with_history_pre, partition_with_stats,
-    partition_with_stats_pre, Equivalence,
-    PartitionOptions, RefineMode, RefineStats, RefinementHistory,
+    oracle, partition, partition_with, partition_with_history, partition_with_stats, Equivalence,
+    PartitionOptions, RefineStats, RefinementHistory,
 };

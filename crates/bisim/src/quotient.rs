@@ -74,11 +74,16 @@ pub fn div_quotient(lts: &Lts) -> Quotient {
 }
 
 /// [`div_quotient`] with explicit [`PartitionOptions`](crate::PartitionOptions)
-/// for the underlying `≈div` partition; the quotient is identical for every
-/// option combination.
+/// for the underlying `≈div` partition; the quotient is identical at any
+/// worker count.
 pub fn div_quotient_opts(lts: &Lts, opts: crate::signatures::PartitionOptions) -> Quotient {
-    let p =
-        crate::signatures::partition_opts(lts, crate::signatures::Equivalence::BranchingDiv, opts);
+    let p = crate::signatures::partition_with(
+        lts,
+        crate::signatures::Equivalence::BranchingDiv,
+        &bb_lts::Watchdog::unlimited(),
+        opts,
+    )
+    .expect("an unlimited watchdog never trips");
     let divergent = crate::divergence::divergent_states(lts, &p);
 
     let mut b = LtsBuilder::new();

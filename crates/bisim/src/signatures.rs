@@ -8,12 +8,12 @@
 //! (Blom & Orzan, 2002; for the divergence flag, the mCRL2 variant of
 //! divergence-preserving branching bisimulation).
 //!
-//! Two engines implement the loop, selected by [`RefineMode`]:
+//! Two engines implement the loop:
 //!
-//! * [`RefineMode::Full`] recomputes every signature every round — the
-//!   original formulation, kept as the reference implementation and the
-//!   `--refine full` escape hatch.
-//! * [`RefineMode::Incremental`] (the default) observes that a state's
+//! * The **full** engine recomputes every signature every round — the
+//!   original formulation. It runs in production only for checkpoint-seeded
+//!   calls, and is otherwise the differential oracle in [`oracle`].
+//! * The **incremental** engine (every other call) observes that a state's
 //!   signature can only change when a successor changed block, so each round
 //!   recomputes only a *dirty worklist* derived from the states that moved in
 //!   the previous round. Signatures are hash-consed into a flat
@@ -29,13 +29,12 @@ use crate::partition::{canonical_from_labels, BlockId, Partition};
 use crate::snapshot;
 use bb_lts::budget::{ExhaustReason, Exhausted, Meter, Stage, Watchdog};
 use bb_lts::{tarjan_scc, tarjan_scc_region, Jobs, Lts, PredecessorTable, StateId, TauClosure};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Connection of one governed refinement call to the installed checkpoint
 /// sink: the sink plus the call's structural fingerprint (see
-/// [`snapshot::refine_fingerprint`]). Built by [`run_governed_opts`] only
+/// [`snapshot::refine_fingerprint`]). Built by [`run`] only
 /// when a sink is installed, so the common path pays one atomic load.
 struct PersistHook {
     sink: Arc<dyn bb_obs::PersistSink>,
@@ -103,66 +102,37 @@ pub enum Equivalence {
     Weak,
 }
 
-/// Which refinement engine computes the partition.
-///
-/// Both engines produce bit-identical partitions (block ids included) at any
-/// [`Jobs`] count; they differ only in how much work a round does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RefineMode {
+/// Which refinement engine runs a call. Both produce bit-identical
+/// partitions (block ids included) at any [`Jobs`] count; they differ only
+/// in how much work a round does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Engine {
     /// Recompute every signature every round (the reference engine).
     Full,
     /// Recompute only dirty states, intern signatures, and reuse the
     /// inert-τ condensation across rounds.
-    #[default]
     Incremental,
-}
-
-impl std::fmt::Display for RefineMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            RefineMode::Full => "full",
-            RefineMode::Incremental => "incremental",
-        })
-    }
-}
-
-impl std::str::FromStr for RefineMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "full" => Ok(RefineMode::Full),
-            "incremental" => Ok(RefineMode::Incremental),
-            other => Err(format!(
-                "unknown refinement mode `{other}` (expected `full` or `incremental`)"
-            )),
-        }
-    }
 }
 
 /// Options for a partition-refinement run.
 ///
-/// The default is the sequential incremental engine — the same partition as
-/// every other configuration, computed with the least work.
+/// Every option value computes the same partition, block ids included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionOptions {
     /// Worker threads for the sharded signature passes.
     pub jobs: Jobs,
-    /// Which refinement engine to run.
-    pub mode: RefineMode,
 }
 
 impl Default for PartitionOptions {
     fn default() -> Self {
         PartitionOptions {
             jobs: Jobs::serial(),
-            mode: RefineMode::Incremental,
         }
     }
 }
 
 impl PartitionOptions {
-    /// The default options: sequential, incremental.
+    /// The default options: sequential.
     pub fn new() -> Self {
         Self::default()
     }
@@ -170,12 +140,6 @@ impl PartitionOptions {
     /// Sets the worker count.
     pub fn with_jobs(mut self, jobs: Jobs) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Sets the refinement engine.
-    pub fn with_mode(mut self, mode: RefineMode) -> Self {
-        self.mode = mode;
         self
     }
 }
@@ -859,9 +823,8 @@ impl CondState {
 /// the two id spaces).
 struct Incremental<'c, 'a> {
     ctx: &'c Ctx<'a>,
-    /// Flat reverse adjacency: borrowed from the fused pipeline when
-    /// exploration already accumulated it, built once per run otherwise.
-    preds: Cow<'c, PredecessorTable>,
+    /// Flat reverse adjacency, built once per run.
+    preds: PredecessorTable,
     /// Stable block label of each state.
     block_of: Vec<u32>,
     num_blocks: usize,
@@ -881,18 +844,12 @@ struct Incremental<'c, 'a> {
 }
 
 impl<'c, 'a> Incremental<'c, 'a> {
-    fn new(ctx: &'c Ctx<'a>, preds: Option<&'c PredecessorTable>) -> Self {
+    fn new(ctx: &'c Ctx<'a>) -> Self {
         let lts = ctx.lts;
         let n = lts.num_states();
-        if let Some(p) = preds {
-            debug_assert_eq!(p.num_entries(), lts.num_transitions());
-        }
         Incremental {
             ctx,
-            preds: match preds {
-                Some(p) => Cow::Borrowed(p),
-                None => Cow::Owned(lts.predecessor_table()),
-            },
+            preds: lts.predecessor_table(),
             block_of: vec![0u32; n],
             num_blocks: usize::from(n != 0),
             members: if n == 0 {
@@ -1718,10 +1675,7 @@ impl<'c, 'a> Incremental<'c, 'a> {
 }
 
 /// The incremental engine (see the module docs and DESIGN.md § "Incremental
-/// refinement"). A fused pipeline passes the predecessor table it
-/// accumulated during exploration via `preds`; the engine builds its own
-/// otherwise.
-#[allow(clippy::too_many_arguments)]
+/// refinement").
 fn run_incremental(
     lts: &Lts,
     eq: Equivalence,
@@ -1730,7 +1684,6 @@ fn run_incremental(
     jobs: Jobs,
     stats: Option<&mut RefineStats>,
     persist: Option<&PersistHook>,
-    preds: Option<&PredecessorTable>,
 ) -> Result<Partition, Exhausted> {
     let n = lts.num_states();
     let span = bb_obs::span("bisim")
@@ -1743,7 +1696,7 @@ fn run_incremental(
         return Err(meter.exhausted(ExhaustReason::StateCap));
     }
     let ctx = Ctx::with_jobs(lts, eq, jobs);
-    let mut eng = Incremental::new(&ctx, preds);
+    let mut eng = Incremental::new(&ctx);
     let mut rounds: Vec<Partition> = Vec::new();
     if history.is_some() {
         rounds.push(Partition::universal(n));
@@ -1811,19 +1764,20 @@ fn run_incremental(
     Ok(p)
 }
 
-fn run_governed_opts(
+/// Every refinement call in the workspace funnels through here, so this is
+/// the one place checkpointing hooks in.
+fn run(
     lts: &Lts,
     eq: Equivalence,
     history: Option<&mut Vec<Partition>>,
     wd: &Watchdog,
     opts: PartitionOptions,
     stats: Option<&mut RefineStats>,
-    preds: Option<&PredecessorTable>,
+    engine: Engine,
 ) -> Result<Partition, Exhausted> {
-    // Every governed refinement call in the workspace funnels through here,
-    // so this is the one place checkpointing hooks in. `begin_refine` is
-    // called exactly once per call — even when its seed is unusable — so
-    // the sink's call counter stays aligned with the pre-crash run.
+    // `begin_refine` is called exactly once per call — even when its seed
+    // is unusable — so the sink's call counter stays aligned with the
+    // pre-crash run.
     let hook = bb_obs::persist_sink().map(|sink| PersistHook {
         sink,
         fingerprint: snapshot::refine_fingerprint(lts, eq),
@@ -1840,19 +1794,11 @@ fn run_governed_opts(
     // A seeded call always runs the full engine: the incremental engine's
     // worklists describe *which states just moved*, which a checkpoint does
     // not record. Both engines produce bit-identical partitions, so the
-    // verdict and every artifact are unaffected by the reroute. The full
-    // engine never touches a predecessor table, so a fused pipeline's
-    // `preds` is simply dropped here — checkpoint cut points stay valid
-    // mid-fused-run by construction.
-    if seed.is_some() {
+    // verdict and every artifact are unaffected by the reroute.
+    if seed.is_some() || engine == Engine::Full {
         return run_full(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), seed);
     }
-    match opts.mode {
-        RefineMode::Full => run_full(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), None),
-        RefineMode::Incremental => {
-            run_incremental(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), preds)
-        }
-    }
+    run_incremental(lts, eq, history, wd, opts.jobs, stats, hook.as_ref())
 }
 
 /// Computes the coarsest partition of `lts` under the given equivalence.
@@ -1862,160 +1808,115 @@ fn run_governed_opts(
 /// equivalence classes by Theorem 4.3); for [`Equivalence::BranchingDiv`]
 /// the classes of `≈div`.
 pub fn partition(lts: &Lts, eq: Equivalence) -> Partition {
-    partition_opts(lts, eq, PartitionOptions::default())
-}
-
-/// [`partition`] with explicit [`PartitionOptions`] (worker count and
-/// refinement engine). Every option combination computes the same partition,
-/// block ids included.
-pub fn partition_opts(lts: &Lts, eq: Equivalence, opts: PartitionOptions) -> Partition {
-    run_governed_opts(lts, eq, None, &Watchdog::unlimited(), opts, None, None)
+    partition_with(lts, eq, &Watchdog::unlimited(), PartitionOptions::default())
         .expect("an unlimited watchdog never trips")
 }
 
-/// Budget-governed [`partition`]: the refinement loop charges the input
-/// size against the state cap, each round's signature recomputations against
-/// the transition cap, and its signature storage against the memory cap, and
-/// observes the watchdog's deadline and cancellation token.
+/// Budget-governed [`partition`] with explicit [`PartitionOptions`]: the
+/// refinement loop charges the input size against the state cap, each
+/// round's signature recomputations against the transition cap, and its
+/// signature storage against the memory cap, and observes the watchdog's
+/// deadline and cancellation token. The partition — block ids included —
+/// is identical at any worker count.
 ///
 /// # Errors
 ///
 /// Returns [`Exhausted`] (stage [`Stage::Bisim`]) when the budget trips;
 /// the partial statistics describe the work done so far.
-pub fn partition_governed(
-    lts: &Lts,
-    eq: Equivalence,
-    wd: &Watchdog,
-) -> Result<Partition, Exhausted> {
-    partition_governed_opts(lts, eq, wd, PartitionOptions::default())
-}
-
-/// [`partition_governed`] with explicit [`PartitionOptions`].
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] (stage [`Stage::Bisim`]) when the budget trips.
-pub fn partition_governed_opts(
+pub fn partition_with(
     lts: &Lts,
     eq: Equivalence,
     wd: &Watchdog,
     opts: PartitionOptions,
 ) -> Result<Partition, Exhausted> {
-    run_governed_opts(lts, eq, None, wd, opts, None, None)
-}
-
-/// [`partition_governed_opts`] with a caller-provided [`PredecessorTable`]
-/// for the incremental engine — the fused pipeline entry point. The table
-/// must describe exactly `lts` (the fused explorer accumulates it from the
-/// same deterministic transition stream). The partition is bit-identical to
-/// the unfused call; the engine merely skips rebuilding the reverse
-/// adjacency it was handed.
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] (stage [`Stage::Bisim`]) when the budget trips.
-pub fn partition_governed_pre(
-    lts: &Lts,
-    eq: Equivalence,
-    wd: &Watchdog,
-    opts: PartitionOptions,
-    preds: Option<&PredecessorTable>,
-) -> Result<Partition, Exhausted> {
-    run_governed_opts(lts, eq, None, wd, opts, None, preds)
-}
-
-/// [`partition`] with `jobs` worker threads for the per-round signature
-/// passes (the split/assignment step stays sequential). The computed
-/// partition — block ids included — is identical to the sequential run at
-/// any worker count; `Jobs::serial()` is exactly the sequential code path.
-pub fn partition_jobs(lts: &Lts, eq: Equivalence, jobs: Jobs) -> Partition {
-    partition_opts(lts, eq, PartitionOptions::default().with_jobs(jobs))
-}
-
-/// [`partition_governed`] with `jobs` worker threads (see [`partition_jobs`]
-/// for the determinism contract).
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] (stage [`Stage::Bisim`]) when the budget trips.
-pub fn partition_governed_jobs(
-    lts: &Lts,
-    eq: Equivalence,
-    wd: &Watchdog,
-    jobs: Jobs,
-) -> Result<Partition, Exhausted> {
-    partition_governed_opts(lts, eq, wd, PartitionOptions::default().with_jobs(jobs))
+    run(lts, eq, None, wd, opts, None, Engine::Incremental)
 }
 
 /// Like [`partition`], additionally returning the per-round history for
 /// diagnostics (distinguishing formulas).
-pub fn partition_with_history(lts: &Lts, eq: Equivalence) -> (Partition, RefinementHistory) {
-    partition_with_history_opts(lts, eq, PartitionOptions::default())
-}
-
-/// [`partition_with_history`] with explicit [`PartitionOptions`]. Both
-/// engines produce the same history, round for round.
-pub fn partition_with_history_opts(
+pub fn partition_with_history(
     lts: &Lts,
     eq: Equivalence,
     opts: PartitionOptions,
 ) -> (Partition, RefinementHistory) {
-    let mut rounds = Vec::new();
-    let p = run_governed_opts(lts, eq, Some(&mut rounds), &Watchdog::unlimited(), opts, None, None)
-        .expect("an unlimited watchdog never trips");
-    (p, RefinementHistory { rounds })
+    history_run(lts, eq, opts, Engine::Incremental)
 }
 
-/// [`partition_with_history_opts`] with a caller-provided
-/// [`PredecessorTable`] (see [`partition_governed_pre`]) — lets the
-/// differential harness assert the round-by-round history is identical
-/// with fusion on and off.
-pub fn partition_with_history_pre(
-    lts: &Lts,
-    eq: Equivalence,
-    opts: PartitionOptions,
-    preds: Option<&PredecessorTable>,
-) -> (Partition, RefinementHistory) {
-    let mut rounds = Vec::new();
-    let p = run_governed_opts(lts, eq, Some(&mut rounds), &Watchdog::unlimited(), opts, None, preds)
-        .expect("an unlimited watchdog never trips");
-    (p, RefinementHistory { rounds })
-}
-
-/// Like [`partition_opts`], additionally returning the work accounting of
-/// the run — the basis of the `tables perf` full-vs-incremental comparison.
+/// Like [`partition`], additionally returning the work accounting of the
+/// run — the basis of the `tables perf` full-vs-incremental comparison.
 pub fn partition_with_stats(
     lts: &Lts,
     eq: Equivalence,
     opts: PartitionOptions,
 ) -> (Partition, RefineStats) {
+    stats_run(lts, eq, opts, Engine::Incremental)
+}
+
+fn history_run(
+    lts: &Lts,
+    eq: Equivalence,
+    opts: PartitionOptions,
+    engine: Engine,
+) -> (Partition, RefinementHistory) {
+    let mut rounds = Vec::new();
+    let p = run(lts, eq, Some(&mut rounds), &Watchdog::unlimited(), opts, None, engine)
+        .expect("an unlimited watchdog never trips");
+    (p, RefinementHistory { rounds })
+}
+
+fn stats_run(
+    lts: &Lts,
+    eq: Equivalence,
+    opts: PartitionOptions,
+    engine: Engine,
+) -> (Partition, RefineStats) {
     let mut stats = RefineStats::default();
-    let p = run_governed_opts(lts, eq, None, &Watchdog::unlimited(), opts, Some(&mut stats), None)
+    let p = run(lts, eq, None, &Watchdog::unlimited(), opts, Some(&mut stats), engine)
         .expect("an unlimited watchdog never trips");
     (p, stats)
 }
 
-/// [`partition_with_stats`] with a caller-provided [`PredecessorTable`]
-/// (see [`partition_governed_pre`]) — the basis of the `tables perf` fused
-/// column.
-pub fn partition_with_stats_pre(
-    lts: &Lts,
-    eq: Equivalence,
-    opts: PartitionOptions,
-    preds: Option<&PredecessorTable>,
-) -> (Partition, RefineStats) {
-    let mut stats = RefineStats::default();
-    let p = run_governed_opts(
-        lts,
-        eq,
-        None,
-        &Watchdog::unlimited(),
-        opts,
-        Some(&mut stats),
-        preds,
-    )
-    .expect("an unlimited watchdog never trips");
-    (p, stats)
+/// The full refinement engine as a differential oracle: every round
+/// recomputes every signature. Production selects it only for
+/// checkpoint-seeded calls; these entry points let tests and `tables perf`
+/// check that the incremental engine computes the identical partition,
+/// block ids and round history included.
+pub mod oracle {
+    use super::*;
+
+    /// [`partition_with`](super::partition_with) on the full engine.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Exhausted`] (stage [`Stage::Bisim`]) when the budget trips.
+    pub fn partition_full(
+        lts: &Lts,
+        eq: Equivalence,
+        wd: &Watchdog,
+        opts: PartitionOptions,
+    ) -> Result<Partition, Exhausted> {
+        run(lts, eq, None, wd, opts, None, Engine::Full)
+    }
+
+    /// [`partition_with_history`](super::partition_with_history) on the
+    /// full engine.
+    pub fn partition_full_with_history(
+        lts: &Lts,
+        eq: Equivalence,
+        opts: PartitionOptions,
+    ) -> (Partition, RefinementHistory) {
+        history_run(lts, eq, opts, Engine::Full)
+    }
+
+    /// [`partition_with_stats`](super::partition_with_stats) on the full
+    /// engine.
+    pub fn partition_full_with_stats(
+        lts: &Lts,
+        eq: Equivalence,
+        opts: PartitionOptions,
+    ) -> (Partition, RefineStats) {
+        stats_run(lts, eq, opts, Engine::Full)
+    }
 }
 
 #[cfg(test)]
@@ -2173,7 +2074,8 @@ mod tests {
         let a = vis(&mut b, "a");
         b.add_transition(s0, a, s1);
         let lts = b.build(s0);
-        let (p, h) = partition_with_history(&lts, Equivalence::Branching);
+        let opts = PartitionOptions::default();
+        let (p, h) = partition_with_history(&lts, Equivalence::Branching, opts);
         assert_eq!(h.rounds.first().unwrap().num_blocks(), 1);
         assert_eq!(h.rounds.last().unwrap(), &p);
         for w in h.rounds.windows(2) {
@@ -2240,30 +2142,15 @@ mod tests {
         Equivalence::Weak,
     ];
 
-    #[test]
-    fn refine_mode_parses_and_displays() {
-        assert_eq!("full".parse::<RefineMode>(), Ok(RefineMode::Full));
-        assert_eq!(
-            "incremental".parse::<RefineMode>(),
-            Ok(RefineMode::Incremental)
-        );
-        assert!("fast".parse::<RefineMode>().is_err());
-        assert_eq!(RefineMode::Full.to_string(), "full");
-        assert_eq!(RefineMode::Incremental.to_string(), "incremental");
-        assert_eq!(RefineMode::default(), RefineMode::Incremental);
-    }
-
     /// Full and incremental engines agree — partitions (block ids included)
     /// and per-round histories — for every equivalence at 1 and 4 workers.
     fn assert_engines_agree(lts: &Lts, tag: &str) {
         for eq in ALL_EQS {
-            let full = PartitionOptions::default().with_mode(RefineMode::Full);
-            let (pf, hf) = partition_with_history_opts(lts, eq, full);
+            let serial = PartitionOptions::default();
+            let (pf, hf) = oracle::partition_full_with_history(lts, eq, serial);
             for jobs in [Jobs::serial(), Jobs::new(4)] {
-                let inc = PartitionOptions::default()
-                    .with_jobs(jobs)
-                    .with_mode(RefineMode::Incremental);
-                let (pi, hi) = partition_with_history_opts(lts, eq, inc);
+                let inc = PartitionOptions::default().with_jobs(jobs);
+                let (pi, hi) = partition_with_history(lts, eq, inc);
                 assert_eq!(
                     pf.assignment(),
                     pi.assignment(),
@@ -2342,11 +2229,8 @@ mod tests {
             b.add_transition(w[0], a, w[1]);
         }
         let lts = b.build(states[0]);
-        let (pf, full) = partition_with_stats(
-            &lts,
-            Equivalence::Strong,
-            PartitionOptions::default().with_mode(RefineMode::Full),
-        );
+        let opts = PartitionOptions::default();
+        let (pf, full) = oracle::partition_full_with_stats(&lts, Equivalence::Strong, opts);
         let (pi, inc) = partition_with_stats(&lts, Equivalence::Strong, PartitionOptions::default());
         assert_eq!(pf.assignment(), pi.assignment());
         assert_eq!(full.rounds, inc.rounds);
@@ -2379,11 +2263,13 @@ mod tests {
         assert!(st.sig_recomputes >= lts.num_states() as u64);
         assert_eq!(
             p.assignment(),
-            partition_opts(
+            oracle::partition_full(
                 &lts,
                 Equivalence::Branching,
-                PartitionOptions::default().with_mode(RefineMode::Full)
+                &Watchdog::unlimited(),
+                PartitionOptions::default()
             )
+            .unwrap()
             .assignment()
         );
     }

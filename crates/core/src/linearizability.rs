@@ -1,9 +1,9 @@
 //! Linearizability checking on branching-bisimulation quotients
 //! (Theorem 5.3).
 
-use bb_bisim::{partition_governed_pre, quotient, Equivalence, PartitionOptions};
+use bb_bisim::{partition_with, quotient, Equivalence, PartitionOptions};
 use bb_lts::budget::{Exhausted, Watchdog};
-use bb_lts::{Jobs, Lts, PredecessorTable};
+use bb_lts::Lts;
 use bb_refine::{trace_refines_governed, RefineOptions, Violation};
 use std::time::{Duration, Instant};
 
@@ -44,51 +44,14 @@ impl LinReport {
 /// (the most general clients must agree), otherwise refinement trivially
 /// fails.
 pub fn verify_linearizability(imp: &Lts, spec: &Lts) -> LinReport {
-    verify_linearizability_governed(imp, spec, &Watchdog::unlimited())
+    verify_linearizability_opts(imp, spec, &Watchdog::unlimited(), PartitionOptions::default())
         .expect("an unlimited watchdog never trips")
 }
 
-/// [`verify_linearizability`] with `jobs` worker threads for the quotient
-/// computations; the report is identical at any worker count.
-pub fn verify_linearizability_jobs(imp: &Lts, spec: &Lts, jobs: Jobs) -> LinReport {
-    verify_linearizability_governed_jobs(imp, spec, &Watchdog::unlimited(), jobs)
-        .expect("an unlimited watchdog never trips")
-}
-
-/// Budget-governed [`verify_linearizability`]: both quotient computations
-/// and the refinement search are metered against `wd`.
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] when the budget trips before a verdict; an aborted
-/// check must be treated as *unknown*, never as a violation.
-pub fn verify_linearizability_governed(
-    imp: &Lts,
-    spec: &Lts,
-    wd: &Watchdog,
-) -> Result<LinReport, Exhausted> {
-    verify_linearizability_governed_jobs(imp, spec, wd, Jobs::serial())
-}
-
-/// [`verify_linearizability_governed`] with `jobs` worker threads for the
-/// quotient computations; the report is identical at any worker count.
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] when the budget trips before a verdict; an aborted
-/// check must be treated as *unknown*, never as a violation.
-pub fn verify_linearizability_governed_jobs(
-    imp: &Lts,
-    spec: &Lts,
-    wd: &Watchdog,
-    jobs: Jobs,
-) -> Result<LinReport, Exhausted> {
-    verify_linearizability_opts(imp, spec, wd, PartitionOptions::default().with_jobs(jobs))
-}
-
-/// [`verify_linearizability_governed`] with explicit [`PartitionOptions`]
-/// (worker count and refinement engine) for the quotient computations; the
-/// report is identical for every option combination.
+/// Budget-governed [`verify_linearizability`] with explicit
+/// [`PartitionOptions`] for the quotient computations: both quotients and
+/// the refinement search are metered against `wd`, and the report is
+/// identical at any worker count.
 ///
 /// # Errors
 ///
@@ -100,32 +63,13 @@ pub fn verify_linearizability_opts(
     wd: &Watchdog,
     opts: PartitionOptions,
 ) -> Result<LinReport, Exhausted> {
-    verify_linearizability_pre(imp, spec, wd, opts, None, None)
-}
-
-/// [`verify_linearizability_opts`] with caller-provided reverse adjacencies
-/// for the two quotient refinements — the fused (`--fuse`) entry point,
-/// where exploration already accumulated each LTS's predecessor table. The
-/// report is identical with or without the tables.
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] when the budget trips before a verdict.
-pub fn verify_linearizability_pre(
-    imp: &Lts,
-    spec: &Lts,
-    wd: &Watchdog,
-    opts: PartitionOptions,
-    imp_preds: Option<&PredecessorTable>,
-    spec_preds: Option<&PredecessorTable>,
-) -> Result<LinReport, Exhausted> {
     let span = bb_obs::span("lin")
         .with("impl_states", imp.num_states())
         .with("spec_states", spec.num_states());
     let start = Instant::now();
-    let p_imp = partition_governed_pre(imp, Equivalence::Branching, wd, opts, imp_preds)?;
+    let p_imp = partition_with(imp, Equivalence::Branching, wd, opts)?;
     let q_imp = quotient(imp, &p_imp);
-    let p_spec = partition_governed_pre(spec, Equivalence::Branching, wd, opts, spec_preds)?;
+    let p_spec = partition_with(spec, Equivalence::Branching, wd, opts)?;
     let q_spec = quotient(spec, &p_spec);
     let refinement =
         trace_refines_governed(&q_imp.lts, &q_spec.lts, RefineOptions::default(), wd)?;

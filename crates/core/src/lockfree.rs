@@ -2,11 +2,11 @@
 //! (Theorems 5.8 and 5.9).
 
 use bb_bisim::{
-    bisimilar_governed_jobs, bisimilar_opts, divergence_witness_governed, partition_governed_pre,
-    quotient, Equivalence, Lasso, PartitionOptions,
+    bisimilar_opts, divergence_witness_governed, partition_with, quotient, Equivalence, Lasso,
+    PartitionOptions,
 };
 use bb_lts::budget::{Exhausted, Watchdog};
-use bb_lts::{Jobs, Lts, PredecessorTable};
+use bb_lts::Lts;
 use std::time::{Duration, Instant};
 
 /// Result of the automatic lock-freedom check (Theorem 5.9).
@@ -51,46 +51,14 @@ pub struct LockFreeReport {
 /// # }
 /// ```
 pub fn verify_lock_freedom(imp: &Lts) -> LockFreeReport {
-    verify_lock_freedom_governed(imp, &Watchdog::unlimited())
+    verify_lock_freedom_opts(imp, &Watchdog::unlimited(), PartitionOptions::default())
         .expect("an unlimited watchdog never trips")
 }
 
-/// [`verify_lock_freedom`] with `jobs` worker threads for the partition
-/// refinements; the report is identical at any worker count.
-pub fn verify_lock_freedom_jobs(imp: &Lts, jobs: Jobs) -> LockFreeReport {
-    verify_lock_freedom_governed_jobs(imp, &Watchdog::unlimited(), jobs)
-        .expect("an unlimited watchdog never trips")
-}
-
-/// Budget-governed [`verify_lock_freedom`]: the quotient, the `≈div` check
-/// and the divergence-witness search are all metered against `wd`.
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] when the budget trips before a verdict; an aborted
-/// check says nothing about lock-freedom.
-pub fn verify_lock_freedom_governed(imp: &Lts, wd: &Watchdog) -> Result<LockFreeReport, Exhausted> {
-    verify_lock_freedom_governed_jobs(imp, wd, Jobs::serial())
-}
-
-/// [`verify_lock_freedom_governed`] with `jobs` worker threads for the
-/// partition refinements; the report is identical at any worker count.
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] when the budget trips before a verdict; an aborted
-/// check says nothing about lock-freedom.
-pub fn verify_lock_freedom_governed_jobs(
-    imp: &Lts,
-    wd: &Watchdog,
-    jobs: Jobs,
-) -> Result<LockFreeReport, Exhausted> {
-    verify_lock_freedom_opts(imp, wd, PartitionOptions::default().with_jobs(jobs))
-}
-
-/// [`verify_lock_freedom_governed`] with explicit [`PartitionOptions`]
-/// (worker count and refinement engine) for the partition refinements; the
-/// report is identical for every option combination.
+/// Budget-governed [`verify_lock_freedom`] with explicit
+/// [`PartitionOptions`] for the partition refinements: the quotient, the
+/// `≈div` check and the divergence-witness search are all metered against
+/// `wd`, and the report is identical at any worker count.
 ///
 /// # Errors
 ///
@@ -101,27 +69,9 @@ pub fn verify_lock_freedom_opts(
     wd: &Watchdog,
     opts: PartitionOptions,
 ) -> Result<LockFreeReport, Exhausted> {
-    verify_lock_freedom_pre(imp, wd, opts, None)
-}
-
-/// [`verify_lock_freedom_opts`] with a caller-provided reverse adjacency
-/// for the implementation's quotient refinement — the fused (`--fuse`)
-/// entry point. The `≈div` comparison against the quotient runs over a
-/// disjoint union the fused exploration never saw, so it keeps building its
-/// own table; the report is identical either way.
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] when the budget trips before a verdict.
-pub fn verify_lock_freedom_pre(
-    imp: &Lts,
-    wd: &Watchdog,
-    opts: PartitionOptions,
-    imp_preds: Option<&PredecessorTable>,
-) -> Result<LockFreeReport, Exhausted> {
     let span = bb_obs::span("lockfree").with("impl_states", imp.num_states());
     let start = Instant::now();
-    let p = partition_governed_pre(imp, Equivalence::Branching, wd, opts, imp_preds)?;
+    let p = partition_with(imp, Equivalence::Branching, wd, opts)?;
     let q = quotient(imp, &p);
     let div_bisim = bisimilar_opts(imp, &q.lts, Equivalence::BranchingDiv, wd, opts)?;
     let divergence = if div_bisim {
@@ -170,22 +120,9 @@ pub struct AbstractionReport {
 /// `abs` is; lock-freedom of the (much smaller) abstract program is decided
 /// by Theorem 5.9.
 pub fn verify_lock_freedom_via_abstraction(imp: &Lts, abs: &Lts) -> AbstractionReport {
-    verify_lock_freedom_via_abstraction_jobs(imp, abs, Jobs::serial())
-}
-
-/// [`verify_lock_freedom_via_abstraction`] with `jobs` worker threads for
-/// the `≈div` check; the report is identical at any worker count.
-pub fn verify_lock_freedom_via_abstraction_jobs(
-    imp: &Lts,
-    abs: &Lts,
-    jobs: Jobs,
-) -> AbstractionReport {
     let start = Instant::now();
-    let wd = Watchdog::unlimited();
-    let div_bisimilar = bisimilar_governed_jobs(imp, abs, Equivalence::BranchingDiv, &wd, jobs)
-        .expect("an unlimited watchdog never trips");
-    let abs_report = verify_lock_freedom_governed_jobs(abs, &wd, jobs)
-        .expect("an unlimited watchdog never trips");
+    let div_bisimilar = bb_bisim::bisimilar(imp, abs, Equivalence::BranchingDiv);
+    let abs_report = verify_lock_freedom(abs);
     AbstractionReport {
         div_bisimilar,
         abstract_lock_free: abs_report.lock_free,

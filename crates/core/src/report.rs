@@ -1,14 +1,11 @@
 //! One-call verification pipeline for an algorithm/specification pair.
 
-use crate::linearizability::{verify_linearizability_pre, LinReport};
-use bb_bisim::{Lasso, PartitionOptions, RefineMode};
-use crate::lockfree::{verify_lock_freedom_pre, LockFreeReport};
+use crate::linearizability::{verify_linearizability_opts, LinReport};
+use crate::lockfree::{verify_lock_freedom_opts, LockFreeReport};
+use bb_bisim::{Lasso, PartitionOptions};
 use bb_lts::budget::Watchdog;
-use bb_lts::{ExploreError, ExploreLimits, Jobs, Lts, PredecessorTable};
-use bb_lts::ExploreOptions;
-use bb_sim::{
-    explore_system_fused, explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec,
-};
+use bb_lts::{ExploreError, ExploreLimits, ExploreOptions, Jobs, Lts};
+use bb_sim::{explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 
 /// Configuration of [`verify_case`].
 #[derive(Debug, Clone, Copy)]
@@ -23,14 +20,6 @@ pub struct VerifyConfig {
     /// Worker threads for the parallel exploration and refinement passes.
     /// Deterministic: the report is identical at any count.
     pub jobs: Jobs,
-    /// Which partition-refinement engine to run. Deterministic: the report
-    /// is identical for either engine.
-    pub refine: RefineMode,
-    /// Fuse exploration into refinement: stream the transition order through
-    /// an in-degree sink and hand the accumulated reverse adjacency to the
-    /// incremental refiner, skipping its predecessor-counting pass.
-    /// Deterministic: the report is identical with fusion on or off.
-    pub fuse: bool,
 }
 
 impl VerifyConfig {
@@ -42,8 +31,6 @@ impl VerifyConfig {
             limits: ExploreLimits::default(),
             check_lock_freedom: true,
             jobs: Jobs::serial(),
-            refine: RefineMode::default(),
-            fuse: false,
         }
     }
 
@@ -56,18 +43,6 @@ impl VerifyConfig {
     /// Use `jobs` worker threads for exploration and refinement.
     pub fn with_jobs(mut self, jobs: Jobs) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Select the partition-refinement engine.
-    pub fn with_refine(mut self, refine: RefineMode) -> Self {
-        self.refine = refine;
-        self
-    }
-
-    /// Fuse exploration into refinement (see [`VerifyConfig::fuse`]).
-    pub fn with_fuse(mut self, fuse: bool) -> Self {
-        self.fuse = fuse;
         self
     }
 }
@@ -133,20 +108,6 @@ where
     S: SequentialSpec,
 {
     let opts = ExploreOptions::limits(config.limits).with_jobs(config.jobs);
-    if config.fuse {
-        let (imp, imp_preds) =
-            explore_system_fused(alg, config.bound, &opts).map_err(ExploreError::from)?;
-        let (sp, sp_preds) =
-            explore_system_fused(spec, config.bound, &opts).map_err(ExploreError::from)?;
-        return Ok(verify_case_lts_pre(
-            alg.name(),
-            config,
-            &imp,
-            &sp,
-            Some(&imp_preds),
-            Some(&sp_preds),
-        ));
-    }
     let imp = explore_system_with(alg, config.bound, &opts).map_err(ExploreError::from)?;
     let sp = explore_system_with(spec, config.bound, &opts).map_err(ExploreError::from)?;
     Ok(verify_case_lts(alg.name(), config, &imp, &sp))
@@ -159,29 +120,12 @@ pub fn verify_case_lts(
     imp: &Lts,
     spec: &Lts,
 ) -> CaseReport {
-    verify_case_lts_pre(name, config, imp, spec, None, None)
-}
-
-/// [`verify_case_lts`] with the reverse adjacencies a fused exploration
-/// accumulated. Each table is built once here and shared by the
-/// linearizability and lock-freedom refinements over the same LTS.
-pub fn verify_case_lts_pre(
-    name: &'static str,
-    config: VerifyConfig,
-    imp: &Lts,
-    spec: &Lts,
-    imp_preds: Option<&PredecessorTable>,
-    spec_preds: Option<&PredecessorTable>,
-) -> CaseReport {
-    let popts = PartitionOptions::default()
-        .with_jobs(config.jobs)
-        .with_mode(config.refine);
+    let popts = PartitionOptions::default().with_jobs(config.jobs);
     let wd = Watchdog::unlimited();
-    let linearizability = verify_linearizability_pre(imp, spec, &wd, popts, imp_preds, spec_preds)
+    let linearizability = verify_linearizability_opts(imp, spec, &wd, popts)
         .expect("an unlimited watchdog never trips");
     let lock_freedom = config.check_lock_freedom.then(|| {
-        verify_lock_freedom_pre(imp, &wd, popts, imp_preds)
-            .expect("an unlimited watchdog never trips")
+        verify_lock_freedom_opts(imp, &wd, popts).expect("an unlimited watchdog never trips")
     });
     CaseReport {
         name,

@@ -22,13 +22,12 @@
 //! ladder — a blown deadline fails the remaining rungs fast — while
 //! state/transition/memory caps are per stage and reset on every rung.
 
-use crate::linearizability::verify_linearizability_pre;
-use crate::lockfree::verify_lock_freedom_pre;
+use crate::linearizability::verify_linearizability_opts;
+use crate::lockfree::verify_lock_freedom_opts;
 use crate::report::CaseReport;
 use bb_bisim::PartitionOptions;
 use bb_lts::budget::{Budget, Exhausted, Watchdog};
-use bb_lts::{Jobs, Lts};
-use bb_lts::ExploreOptions;
+use bb_lts::{ExploreOptions, Jobs, Lts};
 use bb_sim::{explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -130,23 +129,6 @@ pub struct GovernedConfig {
     /// Worker threads for the parallel exploration and refinement passes.
     /// Deterministic: verdicts and reports are identical at any count.
     pub jobs: Jobs,
-    /// Which partition-refinement engine to run. Deterministic: verdicts
-    /// and reports are identical for either engine.
-    pub refine: bb_bisim::RefineMode,
-    /// Fuse exploration into refinement: build each LTS's reverse adjacency
-    /// once per rung and hand it to the refinements instead of letting each
-    /// pass re-derive it. Deterministic: verdicts and reports are identical
-    /// with fusion on or off.
-    pub fuse: bool,
-    /// Intern canonical bit-packed state encodings in the compact arena
-    /// seen-set instead of rich structs in a hash map. Deterministic:
-    /// verdicts and reports are identical with either store.
-    pub compact: bool,
-    /// Spill cold seen-set segments to this directory when exploration
-    /// memory crosses the high-water mark (requires `compact`).
-    /// Deterministic: spill decisions happen only at level boundaries, so
-    /// verdicts are identical with or without a spill tier.
-    pub spill_dir: Option<std::path::PathBuf>,
 }
 
 impl GovernedConfig {
@@ -159,10 +141,6 @@ impl GovernedConfig {
             check_lock_freedom: true,
             fallback: true,
             jobs: Jobs::serial(),
-            refine: bb_bisim::RefineMode::default(),
-            fuse: false,
-            compact: true,
-            spill_dir: None,
         }
     }
 
@@ -181,31 +159,6 @@ impl GovernedConfig {
     /// Use `jobs` worker threads for exploration and refinement.
     pub fn with_jobs(mut self, jobs: Jobs) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Select the partition-refinement engine.
-    pub fn with_refine(mut self, refine: bb_bisim::RefineMode) -> Self {
-        self.refine = refine;
-        self
-    }
-
-    /// Fuse exploration into refinement (see [`GovernedConfig::fuse`]).
-    pub fn with_fuse(mut self, fuse: bool) -> Self {
-        self.fuse = fuse;
-        self
-    }
-
-    /// Select the exploration seen-set (see [`GovernedConfig::compact`]).
-    pub fn with_compact(mut self, compact: bool) -> Self {
-        self.compact = compact;
-        self
-    }
-
-    /// Spill cold seen-set segments under `dir` (see
-    /// [`GovernedConfig::spill_dir`]).
-    pub fn with_spill_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.spill_dir = Some(dir.into());
         self
     }
 }
@@ -311,34 +264,18 @@ fn reduced_bound(b: Bound) -> Option<Bound> {
 }
 
 /// One fully-governed pipeline run over pre-explored LTSs.
-#[allow(clippy::too_many_arguments)]
 fn pipeline_lts(
     name: &'static str,
     bound: Bound,
     check_lock_freedom: bool,
-    fuse: bool,
     imp: &Lts,
     spec: &Lts,
     wd: &Watchdog,
     opts: PartitionOptions,
 ) -> Result<CaseReport, Exhausted> {
-    // When fusing, build each reverse adjacency once and share the
-    // implementation's between the linearizability and lock-freedom passes.
-    let (imp_preds, spec_preds) = if fuse {
-        (Some(imp.predecessor_table()), Some(spec.predecessor_table()))
-    } else {
-        (None, None)
-    };
-    let linearizability = verify_linearizability_pre(
-        imp,
-        spec,
-        wd,
-        opts,
-        imp_preds.as_ref(),
-        spec_preds.as_ref(),
-    )?;
+    let linearizability = verify_linearizability_opts(imp, spec, wd, opts)?;
     let lock_freedom = if check_lock_freedom {
-        Some(verify_lock_freedom_pre(imp, wd, opts, imp_preds.as_ref())?)
+        Some(verify_lock_freedom_opts(imp, wd, opts)?)
     } else {
         None
     };
@@ -352,7 +289,7 @@ fn pipeline_lts(
 
 /// Strong-bisimulation pre-reduction: replace `lts` by its strong quotient.
 fn strong_reduce(lts: &Lts, wd: &Watchdog, opts: PartitionOptions) -> Result<Lts, Exhausted> {
-    let p = bb_bisim::partition_governed_opts(lts, bb_bisim::Equivalence::Strong, wd, opts)?;
+    let p = bb_bisim::partition_with(lts, bb_bisim::Equivalence::Strong, wd, opts)?;
     Ok(bb_bisim::quotient(lts, &p).lts)
 }
 
@@ -374,14 +311,8 @@ where
     A: ObjectAlgorithm,
     S: SequentialSpec,
 {
-    let spill_dir = config.spill_dir.as_deref().map(bb_persist::SpillDir::new);
     let explorer = |bound: Bound, wd: &Watchdog| {
-        let mut opts = ExploreOptions::governed(wd)
-            .with_jobs(config.jobs)
-            .with_compact(config.compact);
-        if let Some(sd) = spill_dir.as_ref() {
-            opts = opts.with_spill(sd);
-        }
+        let opts = ExploreOptions::governed(wd).with_jobs(config.jobs);
         let imp = explore_system_with(alg, bound, &opts)?;
         let sp = explore_system_with(spec, bound, &opts)?;
         Ok((imp, sp))
@@ -403,9 +334,7 @@ pub fn verify_case_governed_with(
 ) -> GovernedReport {
     let start = Instant::now();
     let wd = Watchdog::new(config.budget.clone());
-    let popts = PartitionOptions::default()
-        .with_jobs(config.jobs)
-        .with_mode(config.refine);
+    let popts = PartitionOptions::default().with_jobs(config.jobs);
     let mut attempts: Vec<Attempt> = Vec::new();
     // Explored systems are cached per bound so later rungs don't redo a
     // successful exploration.
@@ -478,7 +407,6 @@ pub fn verify_case_governed_with(
             name,
             config.bound,
             config.check_lock_freedom,
-            config.fuse,
             &imp,
             &sp,
             &wd,
@@ -524,7 +452,6 @@ pub fn verify_case_governed_with(
                     name,
                     config.bound,
                     config.check_lock_freedom,
-                    config.fuse,
                     &imp_r,
                     &sp_r,
                     &wd,
@@ -574,7 +501,6 @@ pub fn verify_case_governed_with(
                     name,
                     small,
                     config.check_lock_freedom,
-                    config.fuse,
                     &imp,
                     &sp,
                     &wd,

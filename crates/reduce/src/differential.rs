@@ -17,9 +17,7 @@
 
 use crate::mode::ReduceMode;
 use crate::reducer::{explore_reduced, ReduceStats};
-use bb_core::{
-    verify_case_governed_with, verify_case_lts, GovernedConfig, GovernedReport, VerifyConfig,
-};
+use bb_core::{verify_case_lts, VerifyConfig};
 use bb_lts::budget::{Exhausted, Watchdog};
 use bb_lts::{ExploreOptions, Jobs};
 use bb_sim::{explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
@@ -147,28 +145,4 @@ where
         reduced_lock_free,
         stats,
     })
-}
-
-/// [`bb_core::verify_case_governed`] over the *reduced* state spaces: the
-/// same budget ladder, rungs and verdict scoping, with every exploration
-/// replaced by the reducer. Sound because the reduced systems are `≈div`
-/// the unreduced ones, and `≈div` preserves and reflects every checked
-/// property (Theorems 5.3/5.9 of the paper).
-pub fn verify_case_reduced_governed<A, S>(
-    alg: &A,
-    spec: &AtomicSpec<S>,
-    mode: ReduceMode,
-    config: &GovernedConfig,
-) -> GovernedReport
-where
-    A: ObjectAlgorithm,
-    S: SequentialSpec,
-{
-    let explorer = |bound: Bound, wd: &Watchdog| {
-        let opts = ExploreOptions::governed(wd).with_jobs(config.jobs);
-        let (imp, _) = explore_reduced(alg, bound, mode, &opts)?;
-        let (sp, _) = explore_reduced(spec, bound, mode, &opts)?;
-        Ok((imp, sp))
-    };
-    verify_case_governed_with(alg.name(), config, &explorer)
 }

@@ -29,7 +29,7 @@ mod reducer;
 pub mod scratch;
 mod symmetry;
 
-pub use differential::{differential_check, verify_case_reduced_governed, DifferentialReport};
+pub use differential::{differential_check, DifferentialReport};
 pub use mode::ReduceMode;
 pub use reducer::{explore_reduced, ReduceStats, ReducedSystem};
 

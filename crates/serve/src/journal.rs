@@ -221,6 +221,25 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
     }
 
+    /// A submit record exactly as an earlier release wrote it — its spec
+    /// carries the retired `refine` and `fuse` members — still replays,
+    /// to the spec (and cache key) a current submit of the same job has.
+    #[test]
+    fn parent_format_submit_replays() {
+        let d = dir("parent");
+        std::fs::create_dir_all(&d).unwrap();
+        let json = r#"{"t": "submit", "job": 7, "priority": 0, "spec": {"command": "verify", "algorithm": "treiber", "threads": 2, "ops": 2, "domain": [1, 2], "lock_freedom": true, "refine": "incremental", "reduce": "none", "jobs": 2, "fuse": true}}"#;
+        let line = format!("{MAGIC} {:016x} {json}\n", fnv1a(0, json.as_bytes()));
+        std::fs::write(Journal::path(&d), line).unwrap();
+        let r = replay(&d);
+        assert_eq!(r.records, 1);
+        assert_eq!(r.pending.len(), 1);
+        let current = JobSpec { jobs: bb_lts::Jobs::new(2), ..spec("treiber") };
+        assert_eq!(r.pending[0].2, current);
+        assert_eq!(r.pending[0].2.cache_key(), current.cache_key());
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
     #[test]
     fn missing_journal_is_an_empty_replay() {
         let r = replay(Path::new("/nonexistent/serve-journal-test"));

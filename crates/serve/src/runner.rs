@@ -18,18 +18,16 @@ use bb_algorithms::{
     newcas::NewCas, optimistic_list::OptimisticList, rdcss::Rdcss, specs::*, treiber::Treiber,
     treiber_hp::TreiberHp, treiber_hp_fu::TreiberHpFu, two_lock_queue::TwoLockQueue,
 };
-use bb_bisim::{partition_opts, quotient, Equivalence, PartitionOptions};
+use bb_bisim::{partition_with, quotient, Equivalence, PartitionOptions};
 use bb_core::{
-    format_lasso, run_isolated, verify_case_governed, verify_case_lts_pre, verify_wait_freedom,
+    format_lasso, run_isolated, verify_case_governed_with, verify_case_lts, verify_wait_freedom,
     GovernedConfig, Verdict, VerifyConfig,
 };
-use bb_lts::budget::CancelToken;
-use bb_lts::{to_aut, to_dot, Budget, ExploreOptions, Lts, PredecessorTable, Watchdog};
-use bb_persist::{Cache, CacheEntry};
-use bb_reduce::{differential_check, explore_reduced, verify_case_reduced_governed, ReduceMode};
-use bb_sim::{
-    explore_system_fused, explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec,
-};
+use bb_lts::budget::{CancelToken, Exhausted};
+use bb_lts::{to_aut, to_dot, Budget, ExploreOptions, Lts, Watchdog};
+use bb_persist::{Cache, CacheEntry, SpillDir};
+use bb_reduce::{differential_check, explore_reduced, ReduceMode};
+use bb_sim::{explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 use std::path::PathBuf;
 
 /// Exit code: every checked property was proved.
@@ -65,13 +63,10 @@ pub struct RunCtl {
     /// Install a checkpoint session for this run.
     pub checkpoint: Option<CheckpointCtl>,
     /// Spill cold seen-set segments under this directory when exploration
-    /// memory crosses the high-water mark (`--spill`). Local execution
-    /// control, not part of the job spec: results are bit-identical with or
-    /// without a spill tier.
+    /// memory crosses the high-water mark (`--spill`), in every command.
+    /// Local execution control, not part of the job spec: results are
+    /// bit-identical with or without a spill tier.
     pub spill_dir: Option<PathBuf>,
-    /// Use the rich-struct hash-map seen-set instead of the compact arena
-    /// (`--compact off`). Results are bit-identical either way.
-    pub no_compact: bool,
 }
 
 /// Buffered stdout plus named artifacts (`dot`, `aut`) of one command run.
@@ -224,52 +219,57 @@ fn dispatch_named(spec: &JobSpec, ctl: &RunCtl, out: &mut RunOutput) -> i32 {
     }
 }
 
-/// Explores under the spec budget; exhaustion is an inconclusive outcome
-/// (exit 2), reported with the exhausted stage and its partial statistics.
-///
-/// With `--reduce`, exploration unfolds the reduced system instead and the
-/// reducer counters go to stderr (stdout stays diffable across modes).
+/// Explores `alg` at `bound` for every command: the one place exploration
+/// options are built. The run's watchdog meters it, `--jobs` fans it out,
+/// and `--spill` installs the disk tier. With `--reduce`, the reduced
+/// system is unfolded instead and the reducer counters go to stderr
+/// (stdout stays diffable across modes).
+fn explore<A: ObjectAlgorithm>(
+    alg: &A,
+    bound: Bound,
+    wd: &Watchdog,
+    spec: &JobSpec,
+    spill: Option<&SpillDir>,
+) -> Result<Lts, Exhausted> {
+    let mut eo = ExploreOptions::governed(wd).with_jobs(spec.jobs);
+    if let Some(sd) = spill {
+        eo = eo.with_spill(sd);
+    }
+    if spec.reduce == ReduceMode::None {
+        return explore_system_with(alg, bound, &eo);
+    }
+    let (lts, stats) = explore_reduced(alg, bound, spec.reduce, &eo)?;
+    bb_obs::diag!("reduction {} [{}]: {stats}", spec.reduce, alg.name());
+    Ok(lts)
+}
+
+/// [`explore`] for the unbudgeted commands; exhaustion is an inconclusive
+/// outcome (exit 2), reported with the exhausted stage and its partial
+/// statistics.
 ///
 /// With a checkpoint session installed, a previously completed section
 /// seeds the LTS directly, and a freshly explored one is offered back
 /// (stage boundaries are always cut points).
-///
-/// With `--fuse` (and no `--reduce`), exploration streams its transitions
-/// through an in-degree sink and the accumulated reverse adjacency is
-/// returned alongside the LTS for the refinement passes to reuse. A
-/// checkpoint-seeded LTS never saw the stream, so it returns `None` and
-/// refinement rebuilds its own table — checkpoint cut points stay valid
-/// mid-fused-run, and the output is byte-identical either way.
 fn explore_or_inconclusive<A: ObjectAlgorithm>(
     alg: &A,
     bound: Bound,
     wd: &Watchdog,
     spec: &JobSpec,
-) -> Result<(Lts, Option<PredecessorTable>), i32> {
+    spill: Option<&SpillDir>,
+) -> Result<Lts, i32> {
     let persist = bb_persist::active();
     let section = format!("{}/b{}-{}", alg.name(), bound.threads, bound.ops_per_thread);
     if let Some(p) = persist.as_ref() {
         if let Some(lts) = p.seed_lts(&section) {
-            return Ok((lts, None));
+            return Ok(lts);
         }
     }
-    let eo = ExploreOptions::governed(wd).with_jobs(spec.jobs);
-    let result = if spec.reduce != ReduceMode::None {
-        explore_reduced(alg, bound, spec.reduce, &eo).map(|(lts, stats)| {
-            bb_obs::diag!("reduction {} [{}]: {stats}", spec.reduce, alg.name());
-            (lts, None)
-        })
-    } else if spec.fuse {
-        explore_system_fused(alg, bound, &eo).map(|(lts, preds)| (lts, Some(preds)))
-    } else {
-        explore_system_with(alg, bound, &eo).map(|lts| (lts, None))
-    };
-    match result {
-        Ok((lts, preds)) => {
+    match explore(alg, bound, wd, spec, spill) {
+        Ok(lts) => {
             if let Some(p) = persist.as_ref() {
                 p.offer_lts(&section, &lts);
             }
-            Ok((lts, preds))
+            Ok(lts)
         }
         Err(e) => {
             eprintln!("inconclusive: {e}");
@@ -291,15 +291,18 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
     if spec.command == Command::ReduceCheck {
         return reduce_check(alg, seq, spec, bound, non_blocking, out);
     }
+    let spill = ctl.spill_dir.as_deref().map(SpillDir::new);
+    let spill = spill.as_ref();
     if spec.command == Command::Verify && spec.budgeted() {
-        return verify_governed(alg, seq, spec, ctl, bound, non_blocking, out);
+        return verify_governed(alg, seq, spec, ctl, spill, non_blocking, out);
     }
 
     let wd = Watchdog::new(budget_of(spec, ctl));
-    let (imp, imp_preds) = match explore_or_inconclusive(alg, bound, &wd, spec) {
+    let imp = match explore_or_inconclusive(alg, bound, &wd, spec, spill) {
         Ok(l) => l,
         Err(c) => return c,
     };
+    let popts = PartitionOptions::default().with_jobs(spec.jobs);
 
     if spec.command == Command::Check {
         let Some(raw) = &spec.formula else {
@@ -315,12 +318,7 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
         };
         // Model check on the divergence-preserving quotient: it is
         // ≈div-bisimilar to the object, so all next-free LTL carries over.
-        let q = bb_bisim::div_quotient_opts(
-            &imp,
-            PartitionOptions::default()
-                .with_jobs(spec.jobs)
-                .with_mode(spec.refine),
-        );
+        let q = bb_bisim::div_quotient_opts(&imp, popts);
         let result = match bb_ltl::check_governed(&q.lts, &formula, &wd) {
             Ok(r) => r,
             Err(e) => {
@@ -347,22 +345,8 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
     }
 
     if spec.command == Command::Quotient {
-        let popts = PartitionOptions::default()
-            .with_jobs(spec.jobs)
-            .with_mode(spec.refine);
-        // A fused exploration already accumulated the reverse adjacency;
-        // hand it to the refiner. Partitions are identical either way.
-        let p = match imp_preds.as_ref() {
-            Some(preds) => bb_bisim::partition_governed_pre(
-                &imp,
-                Equivalence::Branching,
-                &Watchdog::unlimited(),
-                popts,
-                Some(preds),
-            )
-            .expect("an unlimited watchdog never trips"),
-            None => partition_opts(&imp, Equivalence::Branching, popts),
-        };
+        let p = partition_with(&imp, Equivalence::Branching, &Watchdog::unlimited(), popts)
+            .expect("an unlimited watchdog never trips");
         let q = quotient(&imp, &p);
         outln!(out, "algorithm : {}", alg.name());
         outln!(out, "bound     : {}-{}", bound.threads, bound.ops_per_thread);
@@ -381,25 +365,15 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
         return EXIT_PROVED;
     }
 
-    let (sp, sp_preds) = match explore_or_inconclusive(seq, bound, &wd, spec) {
+    let sp = match explore_or_inconclusive(seq, bound, &wd, spec, spill) {
         Ok(l) => l,
         Err(c) => return c,
     };
-    let mut cfg = VerifyConfig::new(bound)
-        .with_jobs(spec.jobs)
-        .with_refine(spec.refine)
-        .with_fuse(spec.fuse);
+    let mut cfg = VerifyConfig::new(bound).with_jobs(spec.jobs);
     if !spec.check_lock_freedom || !non_blocking {
         cfg = cfg.linearizability_only();
     }
-    let report = verify_case_lts_pre(
-        alg.name(),
-        cfg,
-        &imp,
-        &sp,
-        imp_preds.as_ref(),
-        sp_preds.as_ref(),
-    );
+    let report = verify_case_lts(alg.name(), cfg, &imp, &sp);
     outln!(out, "{}", report.summary());
     if let Some(v) = &report.linearizability.violation {
         outln!(out, "non-linearizable history:");
@@ -463,36 +437,29 @@ fn reduce_check<A: ObjectAlgorithm, S: SequentialSpec>(
     }
 }
 
-/// The budget-governed `verify` path: run the fallback ladder and map the
-/// overall verdict onto the exit code.
+/// The budget-governed `verify` path: run the fallback ladder over
+/// [`explore`] and map the overall verdict onto the exit code.
 fn verify_governed<A: ObjectAlgorithm, S: SequentialSpec>(
     alg: &A,
     seq: &AtomicSpec<S>,
     spec: &JobSpec,
     ctl: &RunCtl,
-    bound: Bound,
+    spill: Option<&SpillDir>,
     non_blocking: bool,
     out: &mut RunOutput,
 ) -> i32 {
-    let mut config = GovernedConfig::new(bound, budget_of(spec, ctl))
-        .with_jobs(spec.jobs)
-        .with_refine(spec.refine)
-        .with_fuse(spec.fuse)
-        .with_compact(!ctl.no_compact);
-    if let Some(dir) = &ctl.spill_dir {
-        config = config.with_spill_dir(dir);
-    }
+    let bound = Bound::new(spec.threads, spec.ops);
+    let mut config = GovernedConfig::new(bound, budget_of(spec, ctl)).with_jobs(spec.jobs);
     if !spec.check_lock_freedom || !non_blocking {
         config = config.linearizability_only();
     }
     if spec.no_fallback {
         config = config.no_fallback();
     }
-    let report = if spec.reduce == ReduceMode::None {
-        verify_case_governed(alg, seq, &config)
-    } else {
-        verify_case_reduced_governed(alg, seq, spec.reduce, &config)
+    let explorer = |bound: Bound, wd: &Watchdog| {
+        Ok((explore(alg, bound, wd, spec, spill)?, explore(seq, bound, wd, spec, spill)?))
     };
+    let report = verify_case_governed_with(alg.name(), &config, &explorer);
     {
         use std::fmt::Write as _;
         let _ = write!(out.stdout, "{}", report.render());

@@ -3,16 +3,15 @@
 //!
 //! A [`JobSpec`] captures everything that determines a command's stdout,
 //! artifacts and exit code — the algorithm, bound, property selection,
-//! reduce/refine modes and budgets — plus the two knobs that provably do
-//! *not* ([`jobs`](JobSpec::jobs) and [`fuse`](JobSpec::fuse), excluded
-//! from [`cache_key`](JobSpec::cache_key) because results are bit-identical
-//! either way). The same struct round-trips through the `bb-serve/v1` JSON
+//! reduce mode and budgets — plus the one knob that provably does *not*
+//! ([`jobs`](JobSpec::jobs), excluded from [`cache_key`](JobSpec::cache_key)
+//! because results are bit-identical at any worker count). The same struct
+//! round-trips through the `bb-serve/v1` JSON
 //! protocol ([`to_json`](JobSpec::to_json) / [`from_json`](JobSpec::from_json))
 //! and back into a CLI argv ([`to_argv`](JobSpec::to_argv)), which is what
 //! makes the served-vs-direct differential tests possible: both paths run
 //! the exact same spec through the exact same runner.
 
-use bb_bisim::RefineMode;
 use bb_lts::{Budget, ExploreLimits, Jobs};
 use bb_obs::json::{write_str, JsonValue};
 use bb_reduce::ReduceMode;
@@ -42,6 +41,13 @@ pub const ALGORITHMS: &[(&str, &str)] = &[
     ("coarse-queue", "coarse-locked queue baseline (extension)"),
     ("coarse-set", "coarse-locked set baseline (extension)"),
 ];
+
+/// The refinement-engine segment of every [`JobSpec::config_tag`] and
+/// [`JobSpec::cache_key`]. A compatibility constant: specs once selected
+/// between `full` and `incremental` engines, and the literal keeps keys
+/// and tags equal to those of earlier releases, so a warm result cache
+/// still hits and an existing checkpoint still seeds.
+const REFINE_TAG: &str = "refine=incremental";
 
 /// Whether `name` (dashes canonical) is on the roster.
 pub fn known_algorithm(name: &str) -> bool {
@@ -119,14 +125,10 @@ pub struct JobSpec {
     pub max_memory: Option<usize>,
     /// Disables the governed fallback ladder.
     pub no_fallback: bool,
-    /// Partition-refinement engine (output-identical either way).
-    pub refine: RefineMode,
     /// State-space reduction mode.
     pub reduce: ReduceMode,
     /// Worker threads (output-identical at any count; not in the cache key).
     pub jobs: Jobs,
-    /// Fused exploration→refinement (output-identical; not in the cache key).
-    pub fuse: bool,
 }
 
 impl Default for JobSpec {
@@ -145,10 +147,8 @@ impl Default for JobSpec {
             max_transitions: None,
             max_memory: None,
             no_fallback: false,
-            refine: RefineMode::default(),
             reduce: ReduceMode::None,
             jobs: Jobs::available(),
-            fuse: false,
         }
     }
 }
@@ -189,12 +189,12 @@ impl JobSpec {
     /// The checkpoint configuration tag: a hash of everything that
     /// determines the *shape* of the pipeline (which LTSs are explored,
     /// which refinement calls run, in what order). Budgets, `--jobs`,
-    /// `--fuse`, checkpoint cadence and output paths are deliberately
-    /// excluded — a resume with a raised budget, a different worker count
-    /// or fusion toggled must still seed the recorded sections.
+    /// checkpoint cadence and output paths are deliberately excluded — a
+    /// resume with a raised budget or a different worker count must still
+    /// seed the recorded sections.
     pub fn config_tag(&self) -> u64 {
         let desc = format!(
-            "bbp{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce={}|refine={}",
+            "bbp{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce={}|{REFINE_TAG}",
             bb_persist::FORMAT_VERSION,
             bb_sim::STATE_ENCODING_VERSION,
             self.command,
@@ -206,20 +206,18 @@ impl JobSpec {
             self.wait_freedom,
             self.formula,
             self.reduce,
-            self.refine,
         );
         bb_lts::snapshot::fnv1a(0, desc.as_bytes())
     }
 
     /// The result-cache key: everything that determines the command's
     /// stdout, artifacts and exit code — including budgets, since the
-    /// governed report names the rung and bound that answered. `--jobs`
-    /// and `--fuse` are excluded: results are bit-identical at any worker
-    /// count and with fusion on or off, so a `-j 4 --fuse` run hits the
-    /// entry a `-j 1` run stored.
+    /// governed report names the rung and bound that answered. `--jobs` is
+    /// excluded: results are bit-identical at any worker count, so a `-j 4`
+    /// run hits the entry a `-j 1` run stored.
     pub fn cache_key(&self) -> String {
         format!(
-            "bbc{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce={}|refine={}|budget=({:?},{:?},{:?},{:?},nf{})",
+            "bbc{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce={}|{REFINE_TAG}|budget=({:?},{:?},{:?},{:?},nf{})",
             bb_persist::FORMAT_VERSION,
             bb_sim::STATE_ENCODING_VERSION,
             self.command,
@@ -231,7 +229,6 @@ impl JobSpec {
             self.wait_freedom,
             self.formula,
             self.reduce,
-            self.refine,
             self.timeout,
             self.max_states,
             self.max_transitions,
@@ -274,14 +271,10 @@ impl JobSpec {
         if self.no_fallback {
             argv.push("--no-fallback".into());
         }
-        argv_push(&mut argv, "--refine", self.refine.to_string());
         if self.reduce != ReduceMode::None {
             argv_push(&mut argv, "--reduce", self.reduce.to_string());
         }
         argv_push(&mut argv, "--jobs", self.jobs.get().to_string());
-        if self.fuse {
-            argv.push("--fuse".into());
-        }
         argv
     }
 
@@ -325,11 +318,8 @@ impl JobSpec {
         if self.no_fallback {
             s.push_str(", \"no_fallback\": true");
         }
-        let _ = write!(s, ", \"refine\": \"{}\", \"reduce\": \"{}\"", self.refine, self.reduce);
+        let _ = write!(s, ", \"reduce\": \"{}\"", self.reduce);
         let _ = write!(s, ", \"jobs\": {}", self.jobs.get());
-        if self.fuse {
-            s.push_str(", \"fuse\": true");
-        }
         s.push('}');
         s
     }
@@ -337,7 +327,9 @@ impl JobSpec {
     /// Parses a `bb-serve/v1` spec object (the inverse of
     /// [`to_json`](JobSpec::to_json), tolerant of member order). Unknown
     /// members are rejected so a typo'd budget flag can't silently run an
-    /// unbounded job.
+    /// unbounded job. The retired engine switches `refine` (`"full"` or
+    /// `"incremental"`) and `fuse` are still accepted and ignored, so journal
+    /// lines and requests written by earlier releases stay readable.
     pub fn from_json(v: &JsonValue) -> Result<JobSpec, String> {
         let obj = v.as_object().ok_or("spec must be a JSON object")?;
         let mut spec = JobSpec::default();
@@ -391,9 +383,10 @@ impl JobSpec {
                 "max_transitions" => spec.max_transitions = Some(as_usize(val, key)?),
                 "max_memory" => spec.max_memory = Some(as_usize(val, key)?),
                 "no_fallback" => spec.no_fallback = as_bool(val, key)?,
-                "refine" => {
-                    spec.refine = val.as_str().ok_or("refine must be a string")?.parse()?;
-                }
+                "refine" => match val.as_str() {
+                    Some("full" | "incremental") => {}
+                    _ => return Err("refine must be \"full\" or \"incremental\"".into()),
+                },
                 "reduce" => {
                     spec.reduce = val.as_str().ok_or("reduce must be a string")?.parse()?;
                 }
@@ -404,7 +397,9 @@ impl JobSpec {
                     }
                     spec.jobs = Jobs::new(n);
                 }
-                "fuse" => spec.fuse = as_bool(val, key)?,
+                "fuse" => {
+                    as_bool(val, key)?;
+                }
                 other => return Err(format!("unknown spec member `{other}`")),
             }
         }
@@ -475,10 +470,8 @@ mod tests {
             max_transitions: None,
             max_memory: Some(2_000_000_000),
             no_fallback: true,
-            refine: RefineMode::default(),
             reduce: ReduceMode::None,
             jobs: Jobs::new(4),
-            fuse: true,
         }
     }
 
@@ -492,11 +485,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_ignores_jobs_and_fuse_but_not_budgets() {
+    fn cache_key_ignores_jobs_but_not_budgets() {
         let a = sample();
         let mut b = a.clone();
         b.jobs = Jobs::new(1);
-        b.fuse = false;
         assert_eq!(a.cache_key(), b.cache_key());
         assert_eq!(a.config_tag(), b.config_tag());
         let mut c = a.clone();
@@ -513,7 +505,7 @@ mod tests {
         let spec = sample();
         let bumped = |v: u32| {
             let desc = format!(
-                "bbp{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce={}|refine={}",
+                "bbp{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce={}|refine=incremental",
                 bb_persist::FORMAT_VERSION,
                 v,
                 spec.command,
@@ -525,7 +517,6 @@ mod tests {
                 spec.wait_freedom,
                 spec.formula,
                 spec.reduce,
-                spec.refine,
             );
             bb_lts::snapshot::fnv1a(0, desc.as_bytes())
         };
@@ -570,9 +561,62 @@ mod tests {
         assert_eq!(argv[0], "verify");
         assert_eq!(argv[1], "ms-queue");
         assert!(argv.contains(&"--no-lock-freedom".to_string()));
-        assert!(argv.contains(&"--fuse".to_string()));
+        assert!(!argv.iter().any(|a| a == "--refine" || a == "--fuse"));
         let t = argv.iter().position(|a| a == "--timeout").unwrap();
         assert_eq!(argv[t + 1], "1500ms");
+    }
+
+    /// Every journal line and request an earlier release wrote carries
+    /// `"refine"`, and some carry `"fuse"`: both must still parse, to the
+    /// same spec (and hence the same key) as the line without them, while
+    /// malformed values stay errors.
+    #[test]
+    fn retired_refine_and_fuse_members_are_accepted() {
+        let line = r#"{"command": "verify", "algorithm": "ms-queue", "threads": 2, "ops": 2, "domain": [1, 2], "lock_freedom": true, "refine": "incremental", "reduce": "none", "jobs": 4, "fuse": true}"#;
+        let old = JobSpec::from_json(&parse(line).unwrap()).unwrap();
+        let full = line.replace(r#""refine": "incremental""#, r#""refine": "full""#);
+        let full = JobSpec::from_json(&parse(&full).unwrap()).unwrap();
+        let new = JobSpec {
+            algorithm: "ms-queue".into(),
+            jobs: Jobs::new(4),
+            ..JobSpec::default()
+        };
+        assert_eq!(old, new);
+        assert_eq!(full, new);
+        assert_eq!(old.cache_key(), new.cache_key());
+        assert!(JobSpec::from_json(
+            &parse(r#"{"algorithm": "treiber", "refine": "fast"}"#).unwrap()
+        )
+        .is_err());
+        assert!(JobSpec::from_json(&parse(r#"{"algorithm": "treiber", "fuse": 1}"#).unwrap())
+            .is_err());
+    }
+
+    /// The key and tag of a default spec are pinned byte for byte: they
+    /// must equal what earlier releases computed, or a warm cache misses
+    /// and an existing checkpoint stops seeding.
+    #[test]
+    fn default_spec_key_and_tag_are_pinned() {
+        let spec = JobSpec {
+            algorithm: "treiber".into(),
+            ..JobSpec::default()
+        };
+        assert_eq!(
+            spec.cache_key(),
+            format!(
+                "bbc{}.{}|verify|treiber|t2|o2|d[1, 2]|lftrue|wffalse|formulaNone|reduce=none|\
+                 refine=incremental|budget=(None,None,None,None,nffalse)",
+                bb_persist::FORMAT_VERSION,
+                bb_sim::STATE_ENCODING_VERSION
+            )
+        );
+        let desc = format!(
+            "bbp{}.{}|verify|treiber|t2|o2|d[1, 2]|lftrue|wffalse|formulaNone|reduce=none|\
+             refine=incremental",
+            bb_persist::FORMAT_VERSION,
+            bb_sim::STATE_ENCODING_VERSION
+        );
+        assert_eq!(spec.config_tag(), bb_lts::snapshot::fnv1a(0, desc.as_bytes()));
     }
 
     #[test]

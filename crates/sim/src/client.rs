@@ -2,11 +2,10 @@
 
 use crate::algorithm::{MethodId, MethodSpec, ObjectAlgorithm, Outcome};
 use crate::pack::{Pack, PackReader, PackWriter};
-use bb_lts::budget::{Exhausted, Watchdog};
+use bb_lts::budget::Exhausted;
 use bb_lts::{
-    explore, explore_baseline_with_sink, explore_compact_with_sink, explore_with, Action,
-    CodecSemantics, ExploreError, ExploreLimits, ExploreOptions, ExploreReport, Jobs, Lts,
-    Semantics, ThreadId,
+    explore_compact, Action, CodecSemantics, ExploreError, ExploreLimits, ExploreOptions,
+    ExploreReport, Lts, Semantics, ThreadId,
 };
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -291,11 +290,13 @@ where
 }
 
 /// Unfolds the most general client of `alg` under `bound` into an explicit
-/// LTS, with budget and worker count chosen by `opts`.
+/// LTS, with budget, worker count and spill tier chosen by `opts`.
 ///
-/// This is the single entry point behind every `explore_system*` variant;
-/// it is also where reduction layers (`bb-reduce`) plug in, by wrapping the
-/// [`System`] semantics before handing it to [`bb_lts::explore_with`].
+/// States are interned as canonical bit-packed encodings in the compact
+/// arena seen-set ([`explore_compact`]); the LTS is bit-identical to the
+/// rich-struct oracle ([`bb_lts::oracle::explore_rich`]) at any worker
+/// count. Reduction layers (`bb-reduce`) wrap the [`System`] semantics and
+/// hand it to [`bb_lts::explore_with`] instead.
 ///
 /// # Errors
 ///
@@ -305,27 +306,12 @@ pub fn explore_system_with<A: ObjectAlgorithm>(
     bound: Bound,
     opts: &ExploreOptions<'_>,
 ) -> Result<Lts, Exhausted> {
-    let _span = bb_obs::span("explore.system")
-        .with("object", alg.name())
-        .with("threads", bound.threads as u64)
-        .with("ops", bound.ops_per_thread as u64);
-    let system = System::new(alg, bound);
-    if opts.compact() {
-        explore_compact_with_sink(&system, opts, None).map(|(lts, _)| lts)
-    } else {
-        explore_with(&system, opts)
-    }
+    explore_system_report(alg, bound, opts).map(|(lts, _)| lts)
 }
 
 /// [`explore_system_with`] returning the seen-set's [`ExploreReport`]
 /// (exploration stats plus store footprint/compression metrics) alongside
-/// the LTS — the entry point benchmarks use to compare the compact and
-/// rich-struct engines truthfully.
-///
-/// The engine is picked by [`ExploreOptions::with_compact`]: compact (the
-/// default) interns canonical bit-packed encodings in an arena with an
-/// optional disk-spill tier, the baseline stores the rich states in a
-/// hash map. Both produce bit-identical LTSs.
+/// the LTS.
 ///
 /// # Errors
 ///
@@ -339,43 +325,7 @@ pub fn explore_system_report<A: ObjectAlgorithm>(
         .with("object", alg.name())
         .with("threads", bound.threads as u64)
         .with("ops", bound.ops_per_thread as u64);
-    let system = System::new(alg, bound);
-    if opts.compact() {
-        explore_compact_with_sink(&system, opts, None)
-    } else {
-        explore_baseline_with_sink(&system, opts, None)
-    }
-}
-
-/// Fused variant of [`explore_system_with`]: streams the exploration's
-/// deterministic transition order through an [`bb_lts::InDegreeSink`] and
-/// returns the reverse adjacency alongside the LTS, so a downstream
-/// incremental refinement skips its predecessor-counting pass
-/// (`--fuse`). The LTS is byte-identical to [`explore_system_with`] and the
-/// table is byte-identical to [`Lts::predecessor_table`].
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] (stage `explore`) when any budget axis trips.
-pub fn explore_system_fused<A: ObjectAlgorithm>(
-    alg: &A,
-    bound: Bound,
-    opts: &ExploreOptions<'_>,
-) -> Result<(Lts, bb_lts::PredecessorTable), Exhausted> {
-    let _span = bb_obs::span("explore.system")
-        .with("object", alg.name())
-        .with("threads", bound.threads as u64)
-        .with("ops", bound.ops_per_thread as u64)
-        .with("fused", 1u64);
-    let system = System::new(alg, bound);
-    let mut sink = bb_lts::InDegreeSink::new();
-    let lts = if opts.compact() {
-        explore_compact_with_sink(&system, opts, Some(&mut sink))?.0
-    } else {
-        bb_lts::explore_with_sink(&system, opts, Some(&mut sink))?
-    };
-    let preds = sink.into_table(&lts);
-    Ok((lts, preds))
+    explore_compact(&System::new(alg, bound), opts)
 }
 
 /// Unfolds the most general client of `alg` under `bound` into an explicit
@@ -392,62 +342,7 @@ pub fn explore_system<A: ObjectAlgorithm>(
     bound: Bound,
     limits: ExploreLimits,
 ) -> Result<Lts, ExploreError> {
-    let system = System::new(alg, bound);
-    explore(&system, limits)
-}
-
-/// Budget-governed [`explore_system`]: the unfolding is metered against the
-/// full [`Watchdog`] budget (deadline, caps, memory, cancellation).
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] (stage `explore`) when any budget axis trips.
-#[deprecated(note = "use `explore_system_with(alg, bound, &ExploreOptions::governed(wd))`")]
-pub fn explore_system_governed<A: ObjectAlgorithm>(
-    alg: &A,
-    bound: Bound,
-    wd: &Watchdog,
-) -> Result<Lts, Exhausted> {
-    explore_system_with(alg, bound, &ExploreOptions::governed(wd))
-}
-
-/// [`explore_system`] on the parallel exploration engine: the frontier of
-/// the most general client is fanned out to `jobs` workers with a
-/// deterministic merge, so the resulting LTS is bit-identical to the
-/// sequential unfolding at any worker count.
-///
-/// # Errors
-///
-/// Returns [`ExploreError`] if the state space exceeds `limits`.
-#[deprecated(
-    note = "use `explore_system_with(alg, bound, &ExploreOptions::limits(l).with_jobs(jobs))`"
-)]
-pub fn explore_system_jobs<A: ObjectAlgorithm>(
-    alg: &A,
-    bound: Bound,
-    limits: ExploreLimits,
-    jobs: Jobs,
-) -> Result<Lts, ExploreError> {
-    explore_system_with(alg, bound, &ExploreOptions::limits(limits).with_jobs(jobs))
-        .map_err(ExploreError::from)
-}
-
-/// [`explore_system_governed`] on the parallel exploration engine (see
-/// [`explore_system_jobs`] for the determinism contract).
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] (stage `explore`) when any budget axis trips.
-#[deprecated(
-    note = "use `explore_system_with(alg, bound, &ExploreOptions::governed(wd).with_jobs(jobs))`"
-)]
-pub fn explore_system_governed_jobs<A: ObjectAlgorithm>(
-    alg: &A,
-    bound: Bound,
-    wd: &Watchdog,
-    jobs: Jobs,
-) -> Result<Lts, Exhausted> {
-    explore_system_with(alg, bound, &ExploreOptions::governed(wd).with_jobs(jobs))
+    explore_system_with(alg, bound, &ExploreOptions::limits(limits)).map_err(ExploreError::from)
 }
 
 #[cfg(test)]
@@ -522,52 +417,6 @@ mod tests {
                     val: Some(*shared),
                     tag: "L3",
                 }),
-            }
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_options_entry_point() {
-        let bound = Bound::new(2, 1);
-        let limits = ExploreLimits::default();
-        let base = explore_system_with(&TestCounter, bound, &ExploreOptions::limits(limits))
-            .unwrap();
-        let wd = Watchdog::new(limits.into());
-        let gov = explore_system_governed(&TestCounter, bound, &wd).unwrap();
-        let jobs = explore_system_jobs(&TestCounter, bound, limits, Jobs::new(2)).unwrap();
-        let gov_jobs =
-            explore_system_governed_jobs(&TestCounter, bound, &wd, Jobs::new(2)).unwrap();
-        for other in [&gov, &jobs, &gov_jobs] {
-            assert_eq!(bb_lts::to_aut(&base), bb_lts::to_aut(other));
-        }
-    }
-
-    #[test]
-    fn fused_exploration_matches_staged_and_its_table_is_exact() {
-        // The fused explorer must build the byte-identical LTS (the sink
-        // only observes the deterministic merge stream) and its in-degree
-        // accumulation must reproduce `Lts::predecessor_table` exactly, at
-        // any worker count.
-        let bound = Bound::new(2, 2);
-        let opts = ExploreOptions::limits(ExploreLimits::default());
-        let staged = explore_system_with(&TestCounter, bound, &opts).unwrap();
-        let reference = staged.predecessor_table();
-        for jobs in [Jobs::serial(), Jobs::new(4)] {
-            let opts = ExploreOptions::limits(ExploreLimits::default()).with_jobs(jobs);
-            let (fused, preds) = explore_system_fused(&TestCounter, bound, &opts).unwrap();
-            assert_eq!(
-                bb_lts::snapshot::encode_lts(&staged),
-                bb_lts::snapshot::encode_lts(&fused),
-                "fused LTS differs at {jobs:?}"
-            );
-            for s in 0..fused.num_states() {
-                let s = bb_lts::StateId(s as u32);
-                assert_eq!(
-                    reference.of(s),
-                    preds.of(s),
-                    "streamed reverse adjacency differs at state {s:?} ({jobs:?})"
-                );
             }
         }
     }
@@ -732,32 +581,19 @@ mod tests {
 
     #[test]
     fn compact_engine_is_bit_identical_to_rich_engine() {
-        // The compact (packed-arena) seen-set must reproduce the
-        // HashMap engine's `.aut` bytes exactly, at any worker count,
-        // staged and fused.
+        // The compact (packed-arena) seen-set must reproduce the rich
+        // hash-map oracle's `.aut` bytes exactly, at any worker count.
         let bound = Bound::new(2, 2);
-        let rich_opts = ExploreOptions::limits(ExploreLimits::default()).with_compact(false);
-        let rich = explore_system_with(&TestCounter, bound, &rich_opts).unwrap();
-        let (rich_fused, rich_preds) = explore_system_fused(&TestCounter, bound, &rich_opts)
-            .unwrap();
-        assert_eq!(bb_lts::to_aut(&rich), bb_lts::to_aut(&rich_fused));
-        for jobs in [Jobs::serial(), Jobs::new(4)] {
+        let system = System::new(&TestCounter, bound);
+        for jobs in [bb_lts::Jobs::serial(), bb_lts::Jobs::new(4)] {
             let opts = ExploreOptions::limits(ExploreLimits::default()).with_jobs(jobs);
-            assert!(opts.compact(), "compact engine must be the default");
-            let lts = explore_system_with(&TestCounter, bound, &opts).unwrap();
+            let (rich, _) = bb_lts::oracle::explore_rich(&system, &opts).unwrap();
+            let (lts, report) = explore_system_report(&TestCounter, bound, &opts).unwrap();
             assert_eq!(
                 bb_lts::to_aut(&rich),
                 bb_lts::to_aut(&lts),
                 "compact LTS differs at {jobs:?}"
             );
-            let (fused, preds) = explore_system_fused(&TestCounter, bound, &opts).unwrap();
-            assert_eq!(bb_lts::to_aut(&rich), bb_lts::to_aut(&fused));
-            for s in 0..fused.num_states() {
-                let s = bb_lts::StateId(s as u32);
-                assert_eq!(rich_preds.of(s), preds.of(s));
-            }
-            let (reported, report) = explore_system_report(&TestCounter, bound, &opts).unwrap();
-            assert_eq!(bb_lts::to_aut(&rich), bb_lts::to_aut(&reported));
             assert!(report.store.raw_bytes > 0);
             // Tiny encodings may not amortize the 2-byte entry header, but
             // compression must never cost more than that header per state.

@@ -27,7 +27,6 @@ use bbverify::serve::{
     discover_addr, execute, CheckpointCtl, Client, Command, JobSpec, RunCtl, ServeConfig,
     ALGORITHMS, EXIT_PROVED, EXIT_REFUTED, EXIT_USAGE,
 };
-use bbverify::bisim::RefineMode;
 use bbverify::lts::Jobs;
 use bbverify::reduce::ReduceMode;
 use bb_obs::json::JsonValue;
@@ -52,8 +51,6 @@ struct Options {
     max_memory: Option<usize>,
     no_fallback: bool,
     jobs: Jobs,
-    refine: RefineMode,
-    fuse: bool,
     reduce: ReduceMode,
     metrics: Option<String>,
     trace: Option<String>,
@@ -62,7 +59,6 @@ struct Options {
     checkpoint: Option<String>,
     checkpoint_every: u64,
     cache: Option<String>,
-    compact: bool,
     spill: Option<String>,
 }
 
@@ -83,8 +79,6 @@ impl Default for Options {
             max_memory: None,
             no_fallback: false,
             jobs: Jobs::available(),
-            refine: RefineMode::default(),
-            fuse: false,
             reduce: ReduceMode::None,
             metrics: None,
             trace: None,
@@ -93,7 +87,6 @@ impl Default for Options {
             checkpoint: None,
             checkpoint_every: 8,
             cache: None,
-            compact: true,
             spill: None,
         }
     }
@@ -117,10 +110,8 @@ impl Options {
             max_transitions: self.max_transitions,
             max_memory: self.max_memory,
             no_fallback: self.no_fallback,
-            refine: self.refine,
             reduce: self.reduce,
             jobs: self.jobs,
-            fuse: self.fuse,
         }
     }
 }
@@ -226,13 +217,13 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 }
                 opts.jobs = Jobs::new(n);
             }
-            "--refine" => {
-                opts.refine = it
-                    .next()
-                    .ok_or("--refine needs a mode: full or incremental")?
-                    .parse()?;
-            }
-            "--fuse" => opts.fuse = true,
+            // Retired engine switches: checkpoints record raw argv, so old
+            // command lines must still parse (and `bbv resume` replay).
+            "--refine" => match it.next().map(String::as_str) {
+                Some("full" | "incremental") => retired("--refine"),
+                _ => return Err("--refine needs a mode: full or incremental".into()),
+            },
+            "--fuse" => retired("--fuse"),
             "--reduce" => {
                 opts.reduce = it
                     .next()
@@ -255,13 +246,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--cache" => {
                 opts.cache = Some(it.next().ok_or("--cache needs a directory")?.clone())
             }
-            "--compact" => {
-                opts.compact = match it.next().ok_or("--compact needs on or off")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--compact: expected on or off, got `{other}`")),
-                };
-            }
+            "--compact" => match it.next().map(String::as_str) {
+                Some("on" | "off") => retired("--compact"),
+                _ => return Err("--compact needs on or off".into()),
+            },
             "--spill" => {
                 opts.spill = Some(it.next().ok_or("--spill needs a directory")?.clone())
             }
@@ -269,6 +257,11 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         }
     }
     Ok(opts)
+}
+
+/// The stderr note for an accepted-but-ignored retired engine switch.
+fn retired(flag: &str) {
+    eprintln!("note: {flag} is retired and ignored; every run uses the single engine path");
 }
 
 fn print_usage() {
@@ -287,11 +280,6 @@ fn print_usage() {
     eprintln!("           --no-lock-freedom  --wait-freedom  --dot FILE  --aut FILE");
     eprintln!("           --formula \"G F (ret | done)\"   (for `check`)");
     eprintln!("           --jobs N   (worker threads; default = all cores, output identical)");
-    eprintln!("           --refine full|incremental   (partition-refinement engine; default");
-    eprintln!("           incremental — dirty-state worklists, identical output either way)");
-    eprintln!("           --fuse   (stream exploration straight into refinement: the BFS");
-    eprintln!("           feeds an in-degree sink and refinement reuses the accumulated");
-    eprintln!("           reverse adjacency; stdout and artifacts identical either way)");
     eprintln!("           --reduce none|sym|por|full   (state-space reduction; ≈div-preserving)");
     eprintln!("           `reduce-check <algorithm|all>` cross-checks the reduction: the");
     eprintln!("           reduced LTS must be ≈div the full one with identical verdicts");
@@ -305,8 +293,6 @@ fn print_usage() {
     eprintln!("           --max-memory 2e9  --no-fallback");
     eprintln!("           --spill DIR     (spill cold seen-set segments to disk when memory");
     eprintln!("           nears the cap; verdicts and artifacts stay byte-identical)");
-    eprintln!("           --compact on|off   (bit-packed arena seen-set; default on — `off`");
-    eprintln!("           restores the rich-struct hash map, identical output either way)");
     eprintln!("           with a budget, `verify` degrades gracefully: on exhaustion it");
     eprintln!("           retries with strong-bisimulation pre-reduction, then a smaller");
     eprintln!("           bound, and reports which rung answered");
@@ -559,7 +545,6 @@ fn run(args: &[String], command: Command) -> i32 {
 /// executes through the shared runner, and prints the buffered outcome.
 fn run_spec(spec: &JobSpec, opts: &Options, argv_tail: &[String]) -> i32 {
     let mut ctl = RunCtl {
-        no_compact: !opts.compact,
         spill_dir: opts.spill.as_ref().map(PathBuf::from),
         ..RunCtl::default()
     };
@@ -723,7 +708,6 @@ fn client_submit(args: &[String]) -> i32 {
         ("--metrics", opts.metrics.is_some()),
         ("--trace", opts.trace.is_some()),
         ("--spill", opts.spill.is_some()),
-        ("--compact off", !opts.compact),
     ] {
         if set {
             eprintln!("note: {flag} is daemon-side; ignored for a submitted job");

@@ -62,6 +62,38 @@ fn lock_freedom_violation_prints_loop() {
     assert!(text.contains("τ-loop"));
 }
 
+/// `--spill` reaches every command, not only the budgeted `verify`: under
+/// a 6 MB memory cap `quotient` writes cold seen-set segments to the spill
+/// directory, and its stdout is byte-identical to the same run without one.
+#[test]
+fn quotient_spills_under_a_memory_cap() {
+    let dir = std::env::temp_dir().join(format!("bbv-quotient-spill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let args = [
+        "quotient", "newcas", "--threads", "3", "--ops", "3", "--max-memory", "6e6", "--jobs", "1",
+    ];
+    let plain = bbv(&args);
+    assert_eq!(plain.status.code(), Some(0), "{}", String::from_utf8_lossy(&plain.stderr));
+    let mut with_spill = args.to_vec();
+    with_spill.extend(["--spill", dir.to_str().unwrap()]);
+    let spilled = bbv(&with_spill);
+    assert_eq!(spilled.status.code(), Some(0), "{}", String::from_utf8_lossy(&spilled.stderr));
+    assert_eq!(
+        String::from_utf8_lossy(&spilled.stdout),
+        String::from_utf8_lossy(&plain.stdout)
+    );
+    let segments = std::fs::read_dir(&dir)
+        .expect("spill directory created")
+        .filter_map(Result::ok)
+        .filter(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            name.starts_with("seg-") && name.ends_with(".bbp")
+        })
+        .count();
+    assert!(segments >= 1, "quotient under a 6 MB cap must spill");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn quotient_writes_dot_and_aut() {
     let dir = std::env::temp_dir();

@@ -55,28 +55,32 @@ fn mask_durations(text: &str) -> String {
         .join("\n")
 }
 
+/// Crash, then resume, at both worker counts — once with a command line
+/// that carries the retired engine switches. Checkpoints record raw argv,
+/// so a checkpoint cut with `--refine full --fuse` must still replay: the
+/// switches parse as no-ops with a stderr note.
 #[test]
 fn fault_crash_then_resume_is_byte_identical_across_jobs_and_engines() {
-    for (jobs, refine) in [("1", "full"), ("1", "incremental"), ("4", "full"), ("4", "incremental")]
-    {
+    let legacy: &[&str] = &["--refine", "full", "--fuse", "--compact", "off"];
+    for (jobs, extra) in [("1", legacy), ("1", &[][..]), ("4", legacy), ("4", &[][..])] {
         let base = bbv(
             &[
                 "verify", "ms-queue", "--threads", "2", "--ops", "2", "--timeout", "120s",
-                "--jobs", jobs, "--refine", refine,
+                "--jobs", jobs,
             ],
             &[],
         );
         assert_eq!(base.status.code(), Some(0), "{}", String::from_utf8_lossy(&base.stderr));
 
+        let refine = if extra.is_empty() { "default" } else { "legacy" };
         let ckpt = tmp_dir(&format!("crash-{jobs}-{refine}"));
-        let crashed = bbv(
-            &[
-                "verify", "ms-queue", "--threads", "2", "--ops", "2", "--timeout", "120s",
-                "--jobs", jobs, "--refine", refine,
-                "--checkpoint", ckpt.to_str().unwrap(), "--checkpoint-every", "1",
-            ],
-            &[("BB_FAULT", "round-abort:2")],
-        );
+        let mut argv = vec![
+            "verify", "ms-queue", "--threads", "2", "--ops", "2", "--timeout", "120s",
+            "--jobs", jobs,
+        ];
+        argv.extend_from_slice(extra);
+        argv.extend(["--checkpoint", ckpt.to_str().unwrap(), "--checkpoint-every", "1"]);
+        let crashed = bbv(&argv, &[("BB_FAULT", "round-abort:2")]);
         assert!(
             !crashed.status.success(),
             "round-abort must kill the run: {}",
@@ -93,6 +97,11 @@ fn fault_crash_then_resume_is_byte_identical_across_jobs_and_engines() {
             Some(0),
             "resume must converge (jobs={jobs}, refine={refine}): {}",
             String::from_utf8_lossy(&resumed.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&resumed.stderr).contains("--refine is retired"),
+            !extra.is_empty(),
+            "a replayed retired switch gets exactly its one-line note"
         );
         assert_eq!(
             mask_durations(&stdout_of(&resumed)),
@@ -464,7 +473,7 @@ fn resume_accepts_overrides_after_recorded_argv() {
 /// `bbv resume DIR --jobs N` must accept a worker-count override without
 /// invalidating the checkpoint fingerprint: the config tag deliberately
 /// excludes `--jobs`, so a checkpoint cut at `--jobs 1` must still seed a
-/// resume at `--jobs 4` (and with `--fuse` toggled), and the resumed
+/// resume at `--jobs 4`, and the resumed
 /// report must be byte-identical to an uninterrupted run.
 #[test]
 fn resume_jobs_override_reuses_jobs1_checkpoint() {
@@ -487,13 +496,12 @@ fn resume_jobs_override_reuses_jobs1_checkpoint() {
     );
     assert!(!crashed.status.success());
 
-    // Resume at --jobs 4 (+ --fuse, likewise excluded from the tag), with
-    // metrics on so seeding is observable.
+    // Resume at --jobs 4, with metrics on so seeding is observable.
     let metrics = std::env::temp_dir().join(format!("bbv-jobs-override-{}.json", std::process::id()));
     let resumed = bbv(
         &[
             "resume", ckpt.to_str().unwrap(),
-            "--jobs", "4", "--fuse", "--metrics", metrics.to_str().unwrap(),
+            "--jobs", "4", "--metrics", metrics.to_str().unwrap(),
         ],
         &[],
     );
