@@ -1,8 +1,7 @@
 //! Roster-wide encoding contract: every algorithm's canonical bit-packed
 //! state encoding must round-trip exactly (`decode(encode(s)) == s`),
 //! re-encode deterministically, and drive the compact exploration engine to
-//! the byte-identical `.aut` the rich-struct oracle produces — at any
-//! worker count.
+//! the byte-identical `.aut` the rich-struct oracle produces.
 
 use bb_algorithms::abstracts::{AbsCcas, AbsQueue, AbsRdcss};
 use bb_algorithms::ccas::Ccas;
@@ -23,7 +22,7 @@ use bb_algorithms::treiber_hp::TreiberHp;
 use bb_algorithms::treiber_hp_fu::TreiberHpFu;
 use bb_algorithms::two_lock_queue::TwoLockQueue;
 use bb_lts::{
-    oracle, to_aut, Budget, CodecSemantics, ExhaustReason, ExploreLimits, ExploreOptions, Jobs,
+    oracle, to_aut, Budget, CodecSemantics, ExhaustReason, ExploreLimits, ExploreOptions,
     Semantics, Stage, Watchdog,
 };
 use bb_sim::{explore_system_with, Bound, ObjectAlgorithm, System};
@@ -56,17 +55,12 @@ fn assert_roundtrip<A: ObjectAlgorithm>(alg: &A, bound: Bound) -> usize {
 }
 
 /// The compact engine must emit the byte-identical `.aut` the rich oracle
-/// does, at jobs {1, 4}.
+/// does.
 fn assert_aut_identical<A: ObjectAlgorithm>(alg: &A, bound: Bound) {
-    let limits = ExploreLimits::default();
-    let system = System::new(alg, bound);
-    let (rich, _) = oracle::explore_rich(&system, &ExploreOptions::limits(limits)).unwrap();
-    let reference = to_aut(&rich);
-    for jobs in [1, 4] {
-        let opts = ExploreOptions::limits(limits).with_jobs(Jobs::new(jobs));
-        let aut = to_aut(&explore_system_with(alg, bound, &opts).unwrap());
-        assert_eq!(reference, aut, "{}: compact .aut differs (jobs={jobs})", alg.name());
-    }
+    let opts = ExploreOptions::limits(ExploreLimits::default());
+    let (rich, _) = oracle::explore_rich(&System::new(alg, bound), &opts).unwrap();
+    let aut = to_aut(&explore_system_with(alg, bound, &opts).unwrap());
+    assert_eq!(to_aut(&rich), aut, "{}: compact .aut differs", alg.name());
 }
 
 fn check<A: ObjectAlgorithm>(alg: &A, bound: Bound) {

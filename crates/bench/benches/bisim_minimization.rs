@@ -5,13 +5,12 @@
 
 use bb_algorithms::ms_queue::MsQueue;
 use bb_bench::{bench_loop, lts_of};
-use bb_lts::Jobs;
 use bb_bisim::{partition, quotient, Equivalence};
 
 fn main() {
     println!("== partition ==");
     for (th, op) in [(2u8, 1u32), (2, 2), (3, 1)] {
-        let lts = lts_of(&MsQueue::new(&[1]), th, op, Jobs::serial());
+        let lts = lts_of(&MsQueue::new(&[1]), th, op);
         for (name, eq) in [
             ("strong", Equivalence::Strong),
             ("branching", Equivalence::Branching),
@@ -27,7 +26,7 @@ fn main() {
 
     println!("== quotient ==");
     for (th, op) in [(2u8, 2u32), (3, 1)] {
-        let lts = lts_of(&MsQueue::new(&[1]), th, op, Jobs::serial());
+        let lts = lts_of(&MsQueue::new(&[1]), th, op);
         let p = partition(&lts, Equivalence::Branching);
         bench_loop(&format!("quotient/ms-{th}-{op}"), 20, || quotient(&lts, &p));
     }

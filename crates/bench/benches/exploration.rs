@@ -10,8 +10,8 @@
 
 use bb_algorithms::{hm_list::HmList, ms_queue::MsQueue, treiber::Treiber};
 use bb_bench::bench_loop;
-use bb_lts::{ExploreLimits, Jobs};
-use bb_sim::{explore_system, explore_system_with, Bound};
+use bb_lts::ExploreLimits;
+use bb_sim::{explore_system, Bound};
 
 fn main() {
     println!("== explore ==");
@@ -26,32 +26,6 @@ fn main() {
             &HmList::revised(&[1]),
             Bound::new(2, 2),
             ExploreLimits::default(),
-        )
-        .unwrap()
-    });
-
-    // Parallel frontier expansion must be a pure speedup: assert the LTS it
-    // produces is the same before timing it.
-    let seq = explore_system(&MsQueue::new(&[1]), Bound::new(2, 2), ExploreLimits::default())
-        .unwrap();
-    let par = explore_system_with(
-        &MsQueue::new(&[1]),
-        Bound::new(2, 2),
-        &bb_lts::ExploreOptions::limits(ExploreLimits::default()).with_jobs(Jobs::available()),
-    )
-    .unwrap();
-    assert_eq!(seq.num_states(), par.num_states(), "parallel explore must be deterministic");
-    assert_eq!(
-        seq.num_transitions(),
-        par.num_transitions(),
-        "parallel explore must be deterministic"
-    );
-    println!("== explore, all cores (identical output asserted) ==");
-    bench_loop("explore-par/ms-queue/2-2", 10, || {
-        explore_system_with(
-            &MsQueue::new(&[1]),
-            Bound::new(2, 2),
-            &bb_lts::ExploreOptions::limits(ExploreLimits::default()).with_jobs(Jobs::available()),
         )
         .unwrap()
     });

@@ -12,8 +12,9 @@
 //! breakdown of the verification pipeline, collected through bb-obs spans
 //! — the EXPERIMENTS.md observability table). The `--large` flag
 //! extends the sweeps towards the paper's original configurations (minutes
-//! of runtime instead of seconds); `--jobs N` runs exploration and
-//! refinement on N worker threads (deterministic — only timings change). Absolute state counts and times differ
+//! of runtime instead of seconds); `--jobs N` runs partition refinement
+//! on N worker threads (deterministic — only timings change); exploration
+//! is serial. Absolute state counts and times differ
 //! from the paper (different front end, hardware and heap canonicalization
 //! — see DESIGN.md); the *shape* of every result is reproduced.
 
@@ -23,7 +24,7 @@ use bb_bisim::{
     PartitionOptions,
 };
 use bb_core::{
-    verify_case_lts, verify_linearizability_opts, verify_lock_freedom_opts,
+    verify_case_lts, verify_linearizability_opts, verify_lock_freedom,
     verify_lock_freedom_via_abstraction, LockFreeReport, VerifyConfig,
 };
 use bb_ktrace::{classify_tau_edges, KtraceLimits};
@@ -68,7 +69,7 @@ fn main() {
     };
     let cmd = args.first().map(String::as_str).unwrap_or("all");
     match cmd {
-        "reduce" => guarded("reduce", || reduce_table(large, jobs)),
+        "reduce" => guarded("reduce", || reduce_table(large)),
         "verdicts" => guarded("verdicts", || verdicts(reduce, jobs, cache)),
         "perf" => {
             let against = match parse_against(&args) {
@@ -83,7 +84,7 @@ fn main() {
             perf(&parse_out(&args), against.as_ref());
         }
         "phases" => phases(jobs),
-        "table1" => guarded("table1", || table1(jobs)),
+        "table1" => guarded("table1", table1),
         "table2" => guarded("table2", || table2(jobs)),
         "table3" => guarded("table3", || table3(large, jobs)),
         "table4" => guarded("table4", || table4(large, jobs)),
@@ -92,7 +93,7 @@ fn main() {
         "table7" => guarded("table7", || table7(jobs)),
         "fig10" => guarded("fig10", || fig10(large, jobs)),
         "all" => {
-            guarded("table1", || table1(jobs));
+            guarded("table1", table1);
             guarded("table2", || table2(jobs));
             guarded("table3", || table3(large, jobs));
             guarded("table4", || table4(large, jobs));
@@ -197,13 +198,6 @@ fn quotient_states(lts: &Lts, jobs: Jobs) -> usize {
     quotient(lts, &p).lts.num_states()
 }
 
-/// Theorem 5.9 on `jobs` refinement workers.
-fn lock_freedom(imp: &Lts, jobs: Jobs) -> LockFreeReport {
-    let opts = PartitionOptions::default().with_jobs(jobs);
-    verify_lock_freedom_opts(imp, &Watchdog::unlimited(), opts)
-        .expect("an unlimited watchdog never trips")
-}
-
 /// Runs one table with panic isolation: a fault in any table aborts only
 /// that table, so an `all` sweep still produces every other result.
 fn guarded(name: &str, f: impl FnOnce()) {
@@ -217,7 +211,7 @@ fn guarded(name: &str, f: impl FnOnce()) {
 
 // ------------------------------------------------------------------ Table I
 
-fn table1(jobs: Jobs) {
+fn table1() {
     println!("\n=== TABLE I — k-trace equivalence in various concurrent algorithms ===");
     println!("(paper: non-fixed-LP algorithms exhibit ≡₁∧≢₂ τ-edges)\n");
     println!(
@@ -241,13 +235,13 @@ fn table1(jobs: Jobs) {
         }
     };
 
-    row("HW queue", "3-1", true, &lts_of(&HwQueue::for_bound(&[1, 2], 3, 1), 3, 1, jobs));
-    row("MS queue", "3-2", true, &lts_of(&MsQueue::new(&[1]), 3, 2, jobs));
-    row("DGLM queue", "3-2", true, &lts_of(&DglmQueue::new(&[1]), 3, 2, jobs));
-    row("Treiber stack", "2-2", false, &lts_of(&Treiber::new(&[1]), 2, 2, jobs));
-    row("NewCompareAndSet", "2-2", false, &lts_of(&NewCas::new(2), 2, 2, jobs));
-    row("CCAS", "2-3", true, &lts_of(&Ccas::new(2), 2, 3, jobs));
-    row("RDCSS", "2-3", true, &lts_of(&Rdcss::new(2), 2, 3, jobs));
+    row("HW queue", "3-1", true, &lts_of(&HwQueue::for_bound(&[1, 2], 3, 1), 3, 1));
+    row("MS queue", "3-2", true, &lts_of(&MsQueue::new(&[1]), 3, 2));
+    row("DGLM queue", "3-2", true, &lts_of(&DglmQueue::new(&[1]), 3, 2));
+    row("Treiber stack", "2-2", false, &lts_of(&Treiber::new(&[1]), 2, 2));
+    row("NewCompareAndSet", "2-2", false, &lts_of(&NewCas::new(2), 2, 2));
+    row("CCAS", "2-3", true, &lts_of(&Ccas::new(2), 2, 3));
+    row("RDCSS", "2-3", true, &lts_of(&Rdcss::new(2), 2, 3));
 }
 
 // ----------------------------------------------------------------- Table II
@@ -267,8 +261,8 @@ fn table2(jobs: Jobs) {
             let cfg_col = format!("{}-{}", $th, $op);
             let outcome = bb_core::run_isolated(|| -> Result<String, bb_lts::ExploreError> {
                 let bound = Bound::new($th, $op);
-                let imp = try_lts_of(&$alg, $th, $op, jobs)?;
-                let spec = try_lts_of(&AtomicSpec::new($spec), $th, $op, jobs)?;
+                let imp = try_lts_of(&$alg, $th, $op)?;
+                let spec = try_lts_of(&AtomicSpec::new($spec), $th, $op)?;
                 let mut cfg = VerifyConfig::new(bound).with_jobs(jobs);
                 if !$lf {
                     cfg = cfg.linearizability_only();
@@ -325,30 +319,47 @@ fn table2(jobs: Jobs) {
     println!(" — run `cargo run --release --example bug_hunt`.)");
 }
 
+// ------------------------------------------------------------ Tables III–V
+
+fn lock_freedom_header(alg: &str) {
+    println!(
+        "{:>7} {:>12} {:>10} {:>22} {:>10}",
+        "#Th-#Op",
+        format!("|Δ_{alg}|"),
+        format!("|Δ_{alg}/≈|"),
+        "lock-free (Thm 5.9)",
+        "time"
+    );
+}
+
+/// One row: `|Δ/≈|` is refined on `jobs` workers outside the timed call,
+/// so the time column is the Thm 5.9 check alone (one τ-cycle search).
+fn lock_freedom_row(imp: &Lts, th: u8, op: u32, jobs: Jobs) -> LockFreeReport {
+    let q = quotient_states(imp, jobs);
+    let t0 = Instant::now();
+    let r = verify_lock_freedom(imp);
+    println!(
+        "{:>7} {:>12} {:>10} {:>22} {:>9.2?}",
+        format!("{th}-{op}"),
+        r.impl_states,
+        q,
+        mark(r.lock_free),
+        t0.elapsed()
+    );
+    r
+}
+
 // ---------------------------------------------------------------- Table III
 
 fn table3(large: bool, jobs: Jobs) {
     println!("\n=== TABLE III — automatically checking lock-freedom of the MS queue (Thm 5.9) ===\n");
-    println!(
-        "{:>7} {:>12} {:>10} {:>22} {:>10}",
-        "#Th-#Op", "|Δ_MS|", "|Δ_MS/≈|", "lock-free (Thm 5.9)", "time"
-    );
+    lock_freedom_header("MS");
     let mut configs = vec![(2u8, 1u32), (2, 2), (2, 3), (3, 1)];
     if large {
         configs.extend([(2, 4), (2, 5), (3, 2)]);
     }
     for (th, op) in configs {
-        let imp = lts_of(&MsQueue::new(&[1, 2]), th, op, jobs);
-        let t0 = Instant::now();
-        let r = lock_freedom(&imp, jobs);
-        println!(
-            "{:>7} {:>12} {:>10} {:>22} {:>9.2?}",
-            format!("{th}-{op}"),
-            r.impl_states,
-            r.quotient_states,
-            mark(r.lock_free),
-            t0.elapsed()
-        );
+        lock_freedom_row(&lts_of(&MsQueue::new(&[1, 2]), th, op), th, op, jobs);
     }
 }
 
@@ -356,26 +367,13 @@ fn table3(large: bool, jobs: Jobs) {
 
 fn table4(large: bool, jobs: Jobs) {
     println!("\n=== TABLE IV — automatically checking lock-freedom of the HM list (Thm 5.9) ===\n");
-    println!(
-        "{:>7} {:>12} {:>10} {:>22} {:>10}",
-        "#Th-#Op", "|Δ_HM|", "|Δ_HM/≈|", "lock-free (Thm 5.9)", "time"
-    );
+    lock_freedom_header("HM");
     let mut configs = vec![(2u8, 1u32), (2, 2), (3, 1)];
     if large {
         configs.extend([(2, 3), (2, 4)]);
     }
     for (th, op) in configs {
-        let imp = lts_of(&HmList::revised(&[1, 2]), th, op, jobs);
-        let t0 = Instant::now();
-        let r = lock_freedom(&imp, jobs);
-        println!(
-            "{:>7} {:>12} {:>10} {:>22} {:>9.2?}",
-            format!("{th}-{op}"),
-            r.impl_states,
-            r.quotient_states,
-            mark(r.lock_free),
-            t0.elapsed()
-        );
+        lock_freedom_row(&lts_of(&HmList::revised(&[1, 2]), th, op), th, op, jobs);
     }
 }
 
@@ -383,22 +381,10 @@ fn table4(large: bool, jobs: Jobs) {
 
 fn table5(jobs: Jobs) {
     println!("\n=== TABLE V — checking lock-freedom of the HW queue ===\n");
-    println!(
-        "{:>7} {:>12} {:>10} {:>22} {:>10}",
-        "#Th-#Op", "|Δ_HW|", "|Δ_HW/≈|", "lock-free (Thm 5.9)", "time"
-    );
+    lock_freedom_header("HW");
     let (th, op) = (3u8, 1u32);
-    let imp = lts_of(&HwQueue::for_bound(&[1], th, op), th, op, jobs);
-    let t0 = Instant::now();
-    let r = lock_freedom(&imp, jobs);
-    println!(
-        "{:>7} {:>12} {:>10} {:>22} {:>9.2?}",
-        format!("{th}-{op}"),
-        r.impl_states,
-        r.quotient_states,
-        mark(r.lock_free),
-        t0.elapsed()
-    );
+    let imp = lts_of(&HwQueue::for_bound(&[1], th, op), th, op);
+    let r = lock_freedom_row(&imp, th, op, jobs);
     if let Some(lasso) = &r.divergence {
         println!("\n-- Fig. 9: the divergence generated by the check --");
         for line in bb_core::format_lasso(&imp, lasso).lines() {
@@ -424,10 +410,10 @@ fn table6(large: bool, jobs: Jobs) {
     let popts = PartitionOptions::default().with_jobs(jobs);
     for (th, op) in configs {
         let dom: &[i64] = &[1, 2];
-        let ms = lts_of(&MsQueue::new(dom), th, op, jobs);
-        let dglm = lts_of(&DglmQueue::new(dom), th, op, jobs);
-        let spec = lts_of(&AtomicSpec::new(SeqQueue::new(dom)), th, op, jobs);
-        let abs = lts_of(&AbsQueue::new(dom), th, op, jobs);
+        let ms = lts_of(&MsQueue::new(dom), th, op);
+        let dglm = lts_of(&DglmQueue::new(dom), th, op);
+        let spec = lts_of(&AtomicSpec::new(SeqQueue::new(dom)), th, op);
+        let abs = lts_of(&AbsQueue::new(dom), th, op);
 
         let spec_q = quotient_states(&spec, jobs);
         let ms_q = quotient_states(&ms, jobs);
@@ -483,8 +469,8 @@ fn table7(jobs: Jobs) {
 
     macro_rules! row {
         ($name:expr, $alg:expr, $spec:expr, $th:expr, $op:expr) => {{
-            let imp = lts_of(&$alg, $th, $op, jobs);
-            let spec = lts_of(&AtomicSpec::new($spec), $th, $op, jobs);
+            let imp = lts_of(&$alg, $th, $op);
+            let spec = lts_of(&AtomicSpec::new($spec), $th, $op);
             let dq = quotient_states(&imp, jobs);
             let sq = quotient_states(&spec, jobs);
             let wd = Watchdog::unlimited();
@@ -541,8 +527,7 @@ fn fig10(large: bool, jobs: Jobs) {
                     &bb_lts::ExploreOptions::limits(bb_lts::ExploreLimits {
                         max_states: 20_000_000,
                         max_transitions: 80_000_000,
-                    })
-                    .with_jobs(jobs),
+                    }),
                 ) {
                     Ok(l) => l,
                     Err(e) => {
@@ -582,7 +567,7 @@ fn fig10(large: bool, jobs: Jobs) {
 
 // ---------------------------------------------------- on-the-fly reduction
 
-fn reduce_table(large: bool, jobs: Jobs) {
+fn reduce_table(large: bool) {
     println!("\n=== On-the-fly reduction — `--reduce none` vs `--reduce full` ===");
     println!("(ample-set POR + thread-symmetry; both `≈div`-preserving, so every");
     println!(" verdict is unchanged — `tables verdicts` cross-checks that)\n");
@@ -596,8 +581,7 @@ fn reduce_table(large: bool, jobs: Jobs) {
             let opts = ExploreOptions::limits(bb_lts::ExploreLimits {
                 max_states: 20_000_000,
                 max_transitions: 80_000_000,
-            })
-            .with_jobs(jobs);
+            });
             let outcome = (|| -> Result<_, bb_lts::budget::Exhausted> {
                 let full = bb_sim::explore_system_with(&$alg, Bound::new($th, $op), &opts)?;
                 let t0 = Instant::now();
@@ -660,8 +644,8 @@ fn phases(jobs: Jobs) {
         ($name:expr, $alg:expr, $spec:expr, $th:expr, $op:expr) => {{
             bb_obs::install(bb_obs::ObsConfig { progress: false, quiet: true });
             let outcome = bb_core::run_isolated(|| -> Result<(), bb_lts::ExploreError> {
-                let imp = try_lts_of(&$alg, $th, $op, jobs)?;
-                let spec = try_lts_of(&AtomicSpec::new($spec), $th, $op, jobs)?;
+                let imp = try_lts_of(&$alg, $th, $op)?;
+                let spec = try_lts_of(&AtomicSpec::new($spec), $th, $op)?;
                 let cfg = VerifyConfig::new(Bound::new($th, $op)).with_jobs(jobs);
                 let _ = verify_case_lts($name, cfg, &imp, &spec);
                 Ok(())
@@ -739,8 +723,7 @@ fn verdicts(reduce: ReduceMode, jobs: Jobs, cache: Option<Cache>) {
             } else {
                 misses += 1;
                 let bound = Bound::new($th, $op);
-                let opts =
-                    ExploreOptions::limits(bb_lts::ExploreLimits::default()).with_jobs(jobs);
+                let opts = ExploreOptions::limits(bb_lts::ExploreLimits::default());
                 let outcome =
                     bb_core::run_isolated(|| -> Result<String, bb_lts::budget::Exhausted> {
                         let (imp, spec) = if reduce == ReduceMode::None {
@@ -915,7 +898,7 @@ fn store_row<A: bb_sim::ObjectAlgorithm>(
     samples: u32,
 ) -> StoreRow {
     let bound = Bound::new(th, op);
-    let opts = ExploreOptions::limits(bb_lts::ExploreLimits::default()).with_jobs(Jobs::serial());
+    let opts = ExploreOptions::limits(bb_lts::ExploreLimits::default());
     let system = bb_sim::System::new(alg, bound);
     let (mut rich_us, mut compact_us) = (u128::MAX, u128::MAX);
     let (mut rich, mut compact) = (None, None);
@@ -970,18 +953,17 @@ fn perf(out: &str, against: Option<&Against>) {
         "full time", "inc time"
     );
 
-    let jobs = Jobs::serial();
     let rows = [
-        perf_row("treiber", 2, 2, &lts_of(&Treiber::new(&[1]), 2, 2, jobs), SAMPLES),
-        perf_row("lazy-list", 2, 1, &lts_of(&LazyList::new(&[1]), 2, 1, jobs), SAMPLES),
-        perf_row("lazy-list", 2, 2, &lts_of(&LazyList::new(&[1]), 2, 2, jobs), SAMPLES),
-        perf_row("ms-queue", 2, 2, &lts_of(&MsQueue::new(&[1, 2]), 2, 2, jobs), SAMPLES),
+        perf_row("treiber", 2, 2, &lts_of(&Treiber::new(&[1]), 2, 2), SAMPLES),
+        perf_row("lazy-list", 2, 1, &lts_of(&LazyList::new(&[1]), 2, 1), SAMPLES),
+        perf_row("lazy-list", 2, 2, &lts_of(&LazyList::new(&[1]), 2, 2), SAMPLES),
+        perf_row("ms-queue", 2, 2, &lts_of(&MsQueue::new(&[1, 2]), 2, 2), SAMPLES),
         // The raised roster rungs (PR 10): the bounds the compact store makes
         // routinely affordable. Kept to cases whose refinement stays in
         // CI-budget seconds.
-        perf_row("treiber", 3, 2, &lts_of(&Treiber::new(&[1]), 3, 2, jobs), SAMPLES),
-        perf_row("newcas", 3, 3, &lts_of(&NewCas::new(2), 3, 3, jobs), SAMPLES),
-        perf_row("newcas", 3, 4, &lts_of(&NewCas::new(2), 3, 4, jobs), SAMPLES),
+        perf_row("treiber", 3, 2, &lts_of(&Treiber::new(&[1]), 3, 2), SAMPLES),
+        perf_row("newcas", 3, 3, &lts_of(&NewCas::new(2), 3, 3), SAMPLES),
+        perf_row("newcas", 3, 4, &lts_of(&NewCas::new(2), 3, 4), SAMPLES),
     ];
 
     let mut json = String::from("{\n  \"schema\": \"bb-bench/perf-v2\",\n");

@@ -4,7 +4,7 @@
 //! Criterion benches both build their systems through these helpers so the
 //! measured workloads stay consistent.
 
-use bb_lts::{ExploreError, ExploreLimits, ExploreOptions, Jobs, Lts};
+use bb_lts::{ExploreError, ExploreLimits, ExploreOptions, Lts};
 use bb_sim::{explore_system_with, Bound, ObjectAlgorithm};
 
 pub mod perf;
@@ -16,27 +16,20 @@ fn sabotaged(name: &str) -> bool {
     std::env::var("BB_SABOTAGE").is_ok_and(|pat| !pat.is_empty() && name.contains(&pat))
 }
 
-/// Explores `alg` at `threads`-`ops` with default limits on `jobs`
-/// exploration workers, returning the structured [`ExploreError`] (with
-/// partial statistics) on explosion. The LTS is bit-identical at any
-/// worker count.
-pub fn try_lts_of<A: ObjectAlgorithm>(
-    alg: &A,
-    threads: u8,
-    ops: u32,
-    jobs: Jobs,
-) -> Result<Lts, ExploreError> {
+/// Explores `alg` at `threads`-`ops` with default limits, returning the
+/// structured [`ExploreError`] (with partial statistics) on explosion.
+pub fn try_lts_of<A: ObjectAlgorithm>(alg: &A, threads: u8, ops: u32) -> Result<Lts, ExploreError> {
     if sabotaged(alg.name()) {
         panic!("BB_SABOTAGE: injected fault in case `{}`", alg.name());
     }
-    let opts = ExploreOptions::limits(ExploreLimits::default()).with_jobs(jobs);
+    let opts = ExploreOptions::limits(ExploreLimits::default());
     explore_system_with(alg, Bound::new(threads, ops), &opts).map_err(ExploreError::from)
 }
 
 /// [`try_lts_of`], panicking on explosion (bench workloads are sized to
 /// fit).
-pub fn lts_of<A: ObjectAlgorithm>(alg: &A, threads: u8, ops: u32, jobs: Jobs) -> Lts {
-    try_lts_of(alg, threads, ops, jobs)
+pub fn lts_of<A: ObjectAlgorithm>(alg: &A, threads: u8, ops: u32) -> Lts {
+    try_lts_of(alg, threads, ops)
         .unwrap_or_else(|e| panic!("exploration of {} exceeded limits: {e}", alg.name()))
 }
 
@@ -86,12 +79,12 @@ mod tests {
         // Process-global env var: this is the only test in this binary that
         // touches exploration, so there is no cross-test interference.
         std::env::set_var("BB_SABOTAGE", "MS lock-free queue");
-        let outcome = bb_core::run_isolated(|| lts_of(&MsQueue::new(&[1]), 2, 1, Jobs::serial()));
+        let outcome = bb_core::run_isolated(|| lts_of(&MsQueue::new(&[1]), 2, 1));
         std::env::remove_var("BB_SABOTAGE");
         let msg = outcome.expect_err("sabotaged case must panic");
         assert!(msg.contains("BB_SABOTAGE"), "{msg}");
         // With the hook disarmed the same case builds fine.
-        let lts = lts_of(&MsQueue::new(&[1]), 2, 1, Jobs::serial());
+        let lts = lts_of(&MsQueue::new(&[1]), 2, 1);
         assert!(lts.num_states() > 1);
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::partition::Partition;
 use bb_lts::budget::{Exhausted, Stage, Watchdog};
-use bb_lts::{tarjan_scc, ActionId, Lts, StateId};
+use bb_lts::{tarjan_scc, ActionId, Lts, SccId, StateId};
 
 /// A lasso-shaped divergence witness: a finite path from the initial state
 /// followed by a τ-cycle.
@@ -93,8 +93,10 @@ pub fn divergence_witness(lts: &Lts) -> Option<Lasso> {
         .expect("an unlimited watchdog never trips")
 }
 
-/// Budget-governed [`divergence_witness`]: charges the input size and the
-/// SCC/BFS work against `wd` (stage [`Stage::Divergence`]).
+/// Budget-governed [`divergence_witness`]: charges the input size, the
+/// SCC/BFS work and the per-state arrays of both passes against `wd`
+/// (stage [`Stage::Divergence`]). Each array is charged before it is
+/// allocated, so a memory cap trips instead of being overrun.
 ///
 /// # Errors
 ///
@@ -105,9 +107,13 @@ pub fn divergence_witness_governed(
     wd: &Watchdog,
 ) -> Result<Option<Lasso>, Exhausted> {
     let n = lts.num_states();
-    let _span = bb_obs::span("divergence").with("states", n);
+    let span = bb_obs::span("divergence").with("states", n);
     let mut meter = wd.meter(Stage::Divergence);
     meter.add_states(n)?;
+    // Tarjan's index, lowlink, SCC stack slot and SCC id per state, plus
+    // its on-stack and cyclic flags.
+    let tarjan_bytes = 3 * std::mem::size_of::<u32>() + std::mem::size_of::<SccId>() + 2;
+    meter.add_memory(n * tarjan_bytes)?;
     let cond = tarjan_scc(n, |s, out| {
         for t in lts.successors(s) {
             if !lts.is_visible(t.action) {
@@ -119,6 +125,8 @@ pub fn divergence_witness_governed(
 
     // BFS from the initial state over all transitions, looking for the first
     // state whose τ-SCC is cyclic.
+    meter.add_memory(n * (std::mem::size_of::<Option<(StateId, ActionId)>>() + 1))?;
+    span.record("mem_bytes", meter.memory_current());
     let mut parent: Vec<Option<(StateId, ActionId)>> = vec![None; n];
     let mut seen = vec![false; n];
     let mut queue = std::collections::VecDeque::new();

@@ -8,8 +8,8 @@
 //!   runs on systems that are orders of magnitude smaller than `Δ`.
 //! * **Lock-freedom** (Theorems 5.8/5.9): check divergence-sensitive
 //!   branching bisimilarity between `Δ` and its own quotient (fully
-//!   automatic), or between `Δ` and a hand-written abstract program, and
-//!   conclude lock-freedom from the divergence-free quotient (Lemma 5.7).
+//!   automatic — by Lemmas 5.6/5.7 this is a search for a reachable
+//!   τ-cycle), or between `Δ` and a hand-written abstract program.
 //!
 //! The entry points take explicit LTSs (produced by
 //! [`bb_sim::explore_system`]) so they compose with any front end; the
@@ -35,6 +35,7 @@
 
 mod linearizability;
 mod lockfree;
+pub mod oracle;
 mod progress;
 mod report;
 mod verdict;

@@ -1,10 +1,7 @@
 //! Lock-freedom checking via divergence-sensitive branching bisimulation
 //! (Theorems 5.8 and 5.9).
 
-use bb_bisim::{
-    bisimilar_opts, divergence_witness_governed, partition_with, quotient, Equivalence, Lasso,
-    PartitionOptions,
-};
+use bb_bisim::{divergence_witness_governed, Equivalence, Lasso, PartitionOptions};
 use bb_lts::budget::{Exhausted, Watchdog};
 use bb_lts::Lts;
 use std::time::{Duration, Instant};
@@ -12,26 +9,26 @@ use std::time::{Duration, Instant};
 /// Result of the automatic lock-freedom check (Theorem 5.9).
 #[derive(Debug, Clone)]
 pub struct LockFreeReport {
-    /// Whether the system is lock-free.
+    /// Whether the system is lock-free, i.e. whether `Δ ≈div Δ/≈` held.
     pub lock_free: bool,
     /// `|Δ|`.
     pub impl_states: usize,
-    /// `|Δ/≈|`.
-    pub quotient_states: usize,
-    /// Whether `Δ ≈div Δ/≈` held (fails exactly when a divergence exists).
-    pub div_bisimilar_to_quotient: bool,
     /// A τ-cycle witness (Fig. 9 style) when lock-freedom is violated.
     pub divergence: Option<Lasso>,
     /// Wall-clock time.
     pub time: Duration,
 }
 
-/// Automatically checks lock-freedom of `imp` (Theorem 5.9): compute the
-/// branching-bisimulation quotient `Δ/≈`, check `Δ ≈div Δ/≈`, and conclude.
+/// Automatically checks lock-freedom of `imp` (Theorem 5.9): `Δ ≈div Δ/≈`.
 ///
-/// By Lemma 5.7 the quotient of a finite system has no infinite τ-path, so
-/// `Δ ≈div Δ/≈` fails exactly when `Δ` has a reachable divergence — i.e. a
-/// τ-cycle (Lemma 5.6), which is returned as a lasso witness.
+/// Every τ-cycle lies inside one `≈`-class (its states reach each other by
+/// τ-steps alone, so they are branching bisimilar by the stuttering
+/// lemma), and `Δ/≈` has no inert τ-step and is divergence-free
+/// (Lemma 5.7). So `Δ ≈div Δ/≈` holds exactly when `Δ` has no reachable
+/// τ-cycle (Lemma 5.6), and one Tarjan pass decides it without computing
+/// the quotient. The cycle found is returned as a lasso witness. The
+/// `≈div` refinement of `Δ ⊎ Δ/≈` survives as the differential oracle
+/// [`crate::oracle::lock_free_by_div_union`].
 ///
 /// ```
 /// use bb_algorithms::hw_queue::HwQueue;
@@ -55,10 +52,12 @@ pub fn verify_lock_freedom(imp: &Lts) -> LockFreeReport {
         .expect("an unlimited watchdog never trips")
 }
 
-/// Budget-governed [`verify_lock_freedom`] with explicit
-/// [`PartitionOptions`] for the partition refinements: the quotient, the
-/// `≈div` check and the divergence-witness search are all metered against
-/// `wd`, and the report is identical at any worker count.
+/// Budget-governed [`verify_lock_freedom`]: the τ-cycle search is metered
+/// against `wd` (stage `divergence`).
+///
+/// `opts` is accepted for source compatibility with callers written when
+/// this check refined partitions; Theorem 5.9 needs no partition, so it is
+/// unused.
 ///
 /// # Errors
 ///
@@ -67,30 +66,21 @@ pub fn verify_lock_freedom(imp: &Lts) -> LockFreeReport {
 pub fn verify_lock_freedom_opts(
     imp: &Lts,
     wd: &Watchdog,
-    opts: PartitionOptions,
+    _opts: PartitionOptions,
 ) -> Result<LockFreeReport, Exhausted> {
     let span = bb_obs::span("lockfree").with("impl_states", imp.num_states());
     let start = Instant::now();
-    let p = partition_with(imp, Equivalence::Branching, wd, opts)?;
-    let q = quotient(imp, &p);
-    let div_bisim = bisimilar_opts(imp, &q.lts, Equivalence::BranchingDiv, wd, opts)?;
-    let divergence = if div_bisim {
-        None
-    } else {
-        let w = divergence_witness_governed(imp, wd)?;
-        debug_assert!(
-            w.is_some(),
-            "Δ ≉div Δ/≈ for a finite system implies a reachable τ-cycle"
-        );
-        w
-    };
-    span.record("lock_free", u64::from(div_bisim));
-    span.record("quotient_states", q.lts.num_states());
+    let divergence = divergence_witness_governed(imp, wd)?;
+    let lock_free = divergence.is_none();
+    span.record("lock_free", u64::from(lock_free));
+    span.record("tau_cycle", u64::from(!lock_free));
+    if let Some(lasso) = &divergence {
+        span.record("prefix_len", lasso.prefix.len());
+        span.record("cycle_len", lasso.cycle.len());
+    }
     Ok(LockFreeReport {
-        lock_free: div_bisim,
+        lock_free,
         impl_states: imp.num_states(),
-        quotient_states: q.lts.num_states(),
-        div_bisimilar_to_quotient: div_bisim,
         divergence,
         time: start.elapsed(),
     })
@@ -148,7 +138,6 @@ mod tests {
         let report = verify_lock_freedom(&imp);
         assert!(report.lock_free);
         assert!(report.divergence.is_none());
-        assert!(report.quotient_states < report.impl_states);
     }
 
     #[test]

@@ -17,14 +17,14 @@ pub struct VerifyConfig {
     /// Whether to run the lock-freedom check (skipped for the lock-based
     /// fine-grained lists of Table II, which are not lock-free by design).
     pub check_lock_freedom: bool,
-    /// Worker threads for the parallel exploration and refinement passes.
-    /// Deterministic: the report is identical at any count.
+    /// Worker threads for the partition refinements. Deterministic: the
+    /// report is identical at any count.
     pub jobs: Jobs,
 }
 
 impl VerifyConfig {
     /// Default configuration for `bound`: explore with default limits and
-    /// check both properties on the sequential engine.
+    /// check both properties, refining on one worker.
     pub fn new(bound: Bound) -> Self {
         VerifyConfig {
             bound,
@@ -40,7 +40,7 @@ impl VerifyConfig {
         self
     }
 
-    /// Use `jobs` worker threads for exploration and refinement.
+    /// Use `jobs` worker threads for partition refinement.
     pub fn with_jobs(mut self, jobs: Jobs) -> Self {
         self.jobs = jobs;
         self
@@ -107,7 +107,7 @@ where
     A: ObjectAlgorithm,
     S: SequentialSpec,
 {
-    let opts = ExploreOptions::limits(config.limits).with_jobs(config.jobs);
+    let opts = ExploreOptions::limits(config.limits);
     let imp = explore_system_with(alg, config.bound, &opts).map_err(ExploreError::from)?;
     let sp = explore_system_with(spec, config.bound, &opts).map_err(ExploreError::from)?;
     Ok(verify_case_lts(alg.name(), config, &imp, &sp))

@@ -126,14 +126,14 @@ pub struct GovernedConfig {
     /// Whether to walk the fallback ladder after a budget exhaustion
     /// (disable for a single direct attempt).
     pub fallback: bool,
-    /// Worker threads for the parallel exploration and refinement passes.
-    /// Deterministic: verdicts and reports are identical at any count.
+    /// Worker threads for the partition refinements. Deterministic:
+    /// verdicts and reports are identical at any count.
     pub jobs: Jobs,
 }
 
 impl GovernedConfig {
     /// Default configuration: check both properties under `budget` with the
-    /// fallback ladder enabled, on the sequential engine.
+    /// fallback ladder enabled, refining on one worker.
     pub fn new(bound: Bound, budget: Budget) -> Self {
         GovernedConfig {
             bound,
@@ -156,7 +156,7 @@ impl GovernedConfig {
         self
     }
 
-    /// Use `jobs` worker threads for exploration and refinement.
+    /// Use `jobs` worker threads for partition refinement.
     pub fn with_jobs(mut self, jobs: Jobs) -> Self {
         self.jobs = jobs;
         self
@@ -312,7 +312,7 @@ where
     S: SequentialSpec,
 {
     let explorer = |bound: Bound, wd: &Watchdog| {
-        let opts = ExploreOptions::governed(wd).with_jobs(config.jobs);
+        let opts = ExploreOptions::governed(wd);
         let imp = explore_system_with(alg, bound, &opts)?;
         let sp = explore_system_with(spec, bound, &opts)?;
         Ok((imp, sp))

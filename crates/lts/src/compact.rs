@@ -20,10 +20,10 @@
 //!   needs them.
 //!
 //! Determinism: both stores assign ids in intern order, which the engine
-//! drives in the exact sequential BFS order at any worker count; the spill
-//! decision is taken only at BFS level boundaries from the deterministic
-//! meter value, so state ids, transition order and the `.aut` export are
-//! bit-identical with and without `--spill`, at any `--jobs`.
+//! drives in BFS order; the spill decision is taken only at BFS level
+//! boundaries from the deterministic meter value, so state ids, transition
+//! order and the `.aut` export are bit-identical with and without
+//! `--spill`.
 
 use crate::budget::Meter;
 use crate::explore::Semantics;
@@ -67,7 +67,7 @@ pub trait CodecSemantics: Semantics {
 /// Out-of-core tier for cold state-arena segments (`--spill`).
 ///
 /// Implementations are stateless from the store's point of view (`&self`
-/// methods) so workers can reload segments concurrently. `read_segment`
+/// methods) and shareable across threads. `read_segment`
 /// must return exactly the bytes passed to the matching `write_segment`.
 pub trait SpillBackend: Send + Sync {
     /// Persists segment `index`. An error disables spilling for the rest of
@@ -95,16 +95,12 @@ pub struct StoreMetrics {
 /// The engine-facing seen-set + frontier abstraction: states are stored
 /// exactly once, ids are dense and assigned in intern order, and the BFS
 /// frontier is just an id range read back through [`StateStore::read`].
-pub(crate) trait StateStore<S: Semantics>: Sync {
-    /// Per-reader scan state (decode position, reload cache); workers hold
-    /// one each so reads need only `&self`.
-    type Cursor: Default + Send;
-
+pub(crate) trait StateStore<S: Semantics> {
     /// Interns `state`, returning its id and whether it was new.
     fn intern(&mut self, sem: &S, state: S::State) -> (StateId, bool);
 
     /// Reconstructs the state with id `idx` (must be interned).
-    fn read(&self, sem: &S, idx: u32, cur: &mut Self::Cursor) -> S::State;
+    fn read(&mut self, sem: &S, idx: u32) -> S::State;
 
     /// Number of interned states.
     fn len(&self) -> usize;
@@ -117,8 +113,7 @@ pub(crate) trait StateStore<S: Semantics>: Sync {
 
     /// BFS level boundary: ids `>= frontier_start` form the frontier about
     /// to be expanded. The compact store uses this (and only this) point to
-    /// spill cold segments, so the decision is identical at any worker
-    /// count.
+    /// spill cold segments.
     fn end_level(&mut self, frontier_start: u32, meter: &Meter);
 
     /// Compression/spill figures for reports.
@@ -236,8 +231,6 @@ impl<S: Semantics> HashStore<S> {
 }
 
 impl<S: Semantics> StateStore<S> for HashStore<S> {
-    type Cursor = ();
-
     fn intern(&mut self, sem: &S, state: S::State) -> (StateId, bool) {
         // DefaultHasher::new() uses fixed keys, so tags — and therefore
         // index layouts and probe statistics — are stable across runs.
@@ -263,7 +256,7 @@ impl<S: Semantics> StateStore<S> for HashStore<S> {
         (StateId(id), fresh)
     }
 
-    fn read(&self, _sem: &S, idx: u32, _cur: &mut ()) -> S::State {
+    fn read(&mut self, _sem: &S, idx: u32) -> S::State {
         self.states[idx as usize].clone()
     }
 
@@ -323,7 +316,7 @@ struct Restart {
     off: u32,
 }
 
-/// Decode position of one reader: the reconstruction buffer holds the full
+/// Decode position of a reader: the reconstruction buffer holds the full
 /// encoding of entry `next_idx - 1` (the prefix source for `next_idx`), and
 /// `cache` holds at most one reloaded spilled segment.
 pub(crate) struct ScanCursor {
@@ -361,6 +354,8 @@ pub(crate) struct ArenaStore<'s> {
     scratch: Vec<u8>,
     /// Reader state for intern-time equality probes.
     probe_cur: ScanCursor,
+    /// Reader state for the BFS frontier scan.
+    read_cur: ScanCursor,
     /// Sum of loaded segment capacities (the dominant `bytes()` term).
     loaded_bytes: usize,
     peak: usize,
@@ -387,6 +382,7 @@ impl<'s> ArenaStore<'s> {
             prev: Vec::new(),
             scratch: Vec::new(),
             probe_cur: ScanCursor::default(),
+            read_cur: ScanCursor::default(),
             loaded_bytes: 0,
             peak: 0,
             raw_bytes: 0,
@@ -463,8 +459,6 @@ impl<'s> ArenaStore<'s> {
 }
 
 impl<S: CodecSemantics> StateStore<S> for ArenaStore<'_> {
-    type Cursor = ScanCursor;
-
     fn intern(&mut self, sem: &S, state: S::State) -> (StateId, bool) {
         let mut key = std::mem::take(&mut self.scratch);
         key.clear();
@@ -495,12 +489,12 @@ impl<S: CodecSemantics> StateStore<S> for ArenaStore<'_> {
         (StateId(id), fresh)
     }
 
-    fn read(&self, sem: &S, idx: u32, cur: &mut ScanCursor) -> S::State {
+    fn read(&mut self, sem: &S, idx: u32) -> S::State {
         sem.decode_state(entry_for(
             &self.segments,
             &self.restarts,
             self.spill,
-            cur,
+            &mut self.read_cur,
             idx,
         ))
     }
@@ -527,14 +521,13 @@ impl<S: CodecSemantics> StateStore<S> for ArenaStore<'_> {
         }
         let cap = meter.memory_cap();
         // High-water mark: start shedding cold segments at 5/8 of the cap,
-        // leaving headroom for the level's fan-out. The meter value is
-        // identical at any worker count, so so is the spill schedule.
+        // leaving headroom for the level's expansion.
         if cap == usize::MAX || meter.memory_current() < cap / 8 * 5 {
             return;
         }
         // Everything strictly below the segment holding the first frontier
         // entry is cold: the frontier itself (and its restart group) stays
-        // in core, so workers never wait on a reload.
+        // in core, so expanding it never waits on a reload.
         let boundary = restart_for(&self.restarts, frontier_start).seg;
         for seg in 0..boundary as usize {
             if !matches!(self.segments[seg], Segment::Loaded(_)) {
@@ -798,13 +791,11 @@ mod tests {
         assert!(!fresh);
         assert_eq!(expected[id.index()], (7, 31));
         // Sequential and random reads reconstruct every state.
-        let mut cur = ScanCursor::default();
         for (i, s) in expected.iter().enumerate() {
-            assert_eq!(store.read(&sem, i as u32, &mut cur), *s);
+            assert_eq!(store.read(&sem, i as u32), *s);
         }
-        let mut cur = ScanCursor::default();
         for i in [1599u32, 0, 800, 31, 1598, 17] {
-            assert_eq!(store.read(&sem, i, &mut cur), expected[i as usize]);
+            assert_eq!(store.read(&sem, i), expected[i as usize]);
         }
         let m = StateStore::<Grid>::metrics(&store);
         assert_eq!(m.raw_bytes, 1600 * 8);
@@ -839,9 +830,8 @@ mod tests {
         assert!(m.spilled_segments > 0, "cold segments must spill: {m:?}");
         assert!(!spill.segments.lock().unwrap().is_empty());
         // Every entry — spilled or loaded — still reads back exactly.
-        let mut cur = ScanCursor::default();
         for (i, s) in expected.iter().enumerate() {
-            assert_eq!(store.read(&sem, i as u32, &mut cur), *s, "entry {i}");
+            assert_eq!(store.read(&sem, i as u32), *s, "entry {i}");
         }
         // Probing a state whose entry is spilled still dedups correctly.
         let (_, fresh) = store.intern(&sem, (0, 0));
@@ -874,8 +864,7 @@ mod tests {
         assert_eq!(m.spilled_segments, 0, "failed writes must not spill");
         assert!(store.spill_broken);
         // Everything still reads back from core.
-        let mut cur = ScanCursor::default();
-        assert_eq!(store.read(&sem, 1234, &mut cur), (1234 / 50, 1234 % 50));
+        assert_eq!(store.read(&sem, 1234), (1234 / 50, 1234 % 50));
     }
 
     #[test]
@@ -886,7 +875,7 @@ mod tests {
         assert_eq!(StateStore::<Grid>::len(&store), 500);
         let (id, fresh) = store.intern(&sem, (3, 4));
         assert!(!fresh);
-        assert_eq!(store.read(&sem, id.0, &mut ()), (3, 4));
+        assert_eq!(store.read(&sem, id.0), (3, 4));
         let bytes = StateStore::<Grid>::bytes(&store);
         // One struct copy per state plus 8 index bytes — no key duplication.
         assert!(

@@ -8,7 +8,6 @@ use crate::jobs::Jobs;
 use crate::lts::{Lts, StateId};
 use std::fmt;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// An operational semantics that can be unfolded into an [`Lts`].
@@ -18,13 +17,9 @@ use std::time::Duration;
 /// a breadth-first unfolding, so state ids are assigned in BFS order and the
 /// resulting LTS is deterministic for a deterministic `successors`
 /// enumeration order.
-///
-/// The `Sync`/`Send` bounds let the parallel engine fan the frontier
-/// out to scoped worker threads; states are plain data in every semantics of
-/// this workspace, so the bounds are vacuous in practice.
-pub trait Semantics: Sync {
+pub trait Semantics {
     /// The (hashable) global state of the system.
-    type State: Clone + Eq + Hash + Send + Sync;
+    type State: Clone + Eq + Hash;
 
     /// The initial state.
     fn initial_state(&self) -> Self::State;
@@ -143,7 +138,7 @@ enum BudgetRef<'wd> {
 /// Compose with the builder methods and run with [`explore_with`]:
 ///
 /// ```
-/// use bb_lts::{explore_with, ExploreLimits, ExploreOptions, Jobs};
+/// use bb_lts::{explore_with, ExploreLimits, ExploreOptions};
 /// # use bb_lts::{Action, Semantics, ThreadId};
 /// # struct Two;
 /// # impl Semantics for Two {
@@ -153,7 +148,7 @@ enum BudgetRef<'wd> {
 /// #         if !s { out.push((Action::tau(ThreadId(1)), true)); }
 /// #     }
 /// # }
-/// let opts = ExploreOptions::limits(ExploreLimits::default()).with_jobs(Jobs::new(2));
+/// let opts = ExploreOptions::limits(ExploreLimits::default());
 /// let lts = explore_with(&Two, &opts)?;
 /// assert_eq!(lts.num_states(), 2);
 /// # Ok::<(), bb_lts::budget::Exhausted>(())
@@ -161,7 +156,6 @@ enum BudgetRef<'wd> {
 #[derive(Clone, Copy)]
 pub struct ExploreOptions<'wd> {
     budget: BudgetRef<'wd>,
-    jobs: Jobs,
     spill: Option<&'wd dyn SpillBackend>,
 }
 
@@ -169,7 +163,6 @@ impl fmt::Debug for ExploreOptions<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ExploreOptions")
             .field("budget", &self.budget)
-            .field("jobs", &self.jobs)
             .field("spill", &self.spill.is_some())
             .finish()
     }
@@ -182,7 +175,7 @@ impl Default for ExploreOptions<'_> {
 }
 
 impl<'wd> ExploreOptions<'wd> {
-    /// Default limits on the sequential engine.
+    /// Default limits.
     pub fn new() -> Self {
         Self::default()
     }
@@ -191,7 +184,6 @@ impl<'wd> ExploreOptions<'wd> {
     pub fn limits(limits: ExploreLimits) -> Self {
         ExploreOptions {
             budget: BudgetRef::Limits(limits),
-            jobs: Jobs::serial(),
             spill: None,
         }
     }
@@ -202,21 +194,15 @@ impl<'wd> ExploreOptions<'wd> {
     pub fn governed(wd: &'wd Watchdog) -> Self {
         ExploreOptions {
             budget: BudgetRef::Governed(wd),
-            jobs: Jobs::serial(),
             spill: None,
         }
     }
 
-    /// Fan the BFS frontier out to `jobs` worker threads. The resulting
-    /// LTS is bit-identical at any worker count.
-    pub fn with_jobs(mut self, jobs: Jobs) -> Self {
-        self.jobs = jobs;
+    /// Does nothing: exploration is serial. Kept so that code written
+    /// against the parallel engine still builds.
+    #[deprecated(note = "exploration is serial; `Jobs` only sets refinement workers")]
+    pub fn with_jobs(self, _jobs: Jobs) -> Self {
         self
-    }
-
-    /// The configured worker count.
-    pub fn jobs(&self) -> Jobs {
-        self.jobs
     }
 
     /// Installs a disk-spill tier for cold state-arena segments (see
@@ -253,10 +239,7 @@ pub struct ExploreReport {
 ///
 /// The exploration accounts every interned state, every recorded transition
 /// and an approximate memory estimate against the budget, and observes the
-/// deadline and cancellation token from the BFS loop. With `jobs > 1` each
-/// BFS level is fanned out level-synchronously and merged deterministically,
-/// so state ids, transition order and the `.aut` export are bit-identical
-/// to the sequential run at any worker count.
+/// deadline and cancellation token from the BFS loop.
 ///
 /// # Errors
 ///
@@ -267,14 +250,14 @@ pub fn explore_with<S: Semantics>(
     opts: &ExploreOptions<'_>,
 ) -> Result<Lts, Exhausted> {
     let mut store: HashStore<S> = HashStore::new(None);
-    with_watchdog(opts, |wd| explore_impl(sem, &mut store, wd, opts.jobs)).map(|(lts, _)| lts)
+    with_watchdog(opts, |wd| explore_impl(sem, &mut store, wd)).map(|(lts, _)| lts)
 }
 
 /// The compact engine: states are hashed, stored and compared as their
 /// canonical byte encodings, in a prefix-compressed arena that can spill
 /// cold segments to `opts.spill()` under memory pressure. The produced
-/// [`Lts`] is bit-identical to [`explore_with`] at any worker count, with
-/// or without a spill tier; the [`ExploreReport`] carries the store's own
+/// [`Lts`] is bit-identical to [`explore_with`], with or without a spill
+/// tier; the [`ExploreReport`] carries the store's own
 /// size figures.
 ///
 /// # Errors
@@ -286,7 +269,7 @@ pub fn explore_compact<S: CodecSemantics>(
     opts: &ExploreOptions<'_>,
 ) -> Result<(Lts, ExploreReport), Exhausted> {
     let mut store = ArenaStore::new(opts.spill);
-    with_watchdog(opts, |wd| explore_impl(sem, &mut store, wd, opts.jobs))
+    with_watchdog(opts, |wd| explore_impl(sem, &mut store, wd))
 }
 
 /// Reference implementations kept as differential oracles. Nothing in the
@@ -310,7 +293,7 @@ pub mod oracle {
         opts: &ExploreOptions<'_>,
     ) -> Result<(Lts, ExploreReport), Exhausted> {
         let mut store: HashStore<S> = HashStore::new(Some(S::state_heap_bytes));
-        with_watchdog(opts, |wd| explore_impl(sem, &mut store, wd, opts.jobs))
+        with_watchdog(opts, |wd| explore_impl(sem, &mut store, wd))
     }
 }
 
@@ -328,19 +311,15 @@ fn explore_impl<S: Semantics, ST: StateStore<S>>(
     sem: &S,
     store: &mut ST,
     wd: &Watchdog,
-    jobs: Jobs,
 ) -> Result<(Lts, ExploreReport), Exhausted> {
-    let span = bb_obs::span("explore").with("jobs", jobs.get());
+    let span = bb_obs::span("explore");
     let mut meter = wd.meter(Stage::Explore);
-    let result = if jobs.is_serial() {
-        explore_serial(sem, store, &mut meter)
-    } else {
-        explore_parallel(sem, store, wd, jobs, &mut meter)
-    };
+    let result = explore_serial(sem, store, &mut meter);
     let stats = meter.stats();
     span.record("states", stats.states);
     span.record("transitions", stats.transitions);
     span.record("mem_bytes", stats.memory_bytes);
+    span.record("store_bytes", store.bytes_peak());
     span.record("frontier_peak", bb_obs::hot::EXPLORE_FRONTIER.peak());
     let metrics = store.metrics();
     if let Some(pct) = (metrics.stored_bytes * 100).checked_div(metrics.raw_bytes) {
@@ -363,8 +342,7 @@ fn explore_impl<S: Semantics, ST: StateStore<S>>(
 }
 
 /// Keeps the meter's memory attribution in lock-step with the state
-/// store's actual footprint: charge growth, release shrink (spill). The
-/// sync points are identical at any worker count, so so are the charges.
+/// store's actual footprint: charge growth, release shrink (spill).
 #[derive(Default)]
 struct MemSync {
     charged: usize,
@@ -387,8 +365,8 @@ impl MemSync {
 
 /// Unfolds `sem` into an explicit [`Lts`] by breadth-first exploration.
 ///
-/// Shorthand for [`explore_with`] with cap-only limits on the sequential
-/// engine (the common case in tests and examples).
+/// Shorthand for [`explore_with`] with cap-only limits (the common case in
+/// tests and examples).
 ///
 /// # Errors
 ///
@@ -419,13 +397,11 @@ fn explore_serial<S: Semantics, ST: StateStore<S>>(
     // BFS frontier: states are explored in id order, so the queue is just a
     // cursor over the store's dense id range — no second copy of any state.
     let mut cursor = 0usize;
-    let mut rd = ST::Cursor::default();
     let mut steps: Vec<(Action, S::State)> = Vec::new();
 
     // Cursor position of the next BFS level boundary: when the cursor
-    // reaches it, everything discovered so far forms the next level — the
-    // same boundaries the parallel engine synchronizes on, so the store
-    // sees identical `end_level` spill points at any worker count.
+    // reaches it, everything discovered so far forms the next level, and
+    // the store may spill cold segments (`end_level`).
     let mut next_level_start = 0usize;
     while cursor < store.len() {
         bb_obs::hot::EXPLORE_FRONTIER.set((store.len() - cursor) as u64);
@@ -435,7 +411,7 @@ fn explore_serial<S: Semantics, ST: StateStore<S>>(
             mem.sync(store.bytes(), meter)?;
         }
         let src_id = StateId(cursor as u32);
-        let state = store.read(sem, cursor as u32, &mut rd);
+        let state = store.read(sem, cursor as u32);
         steps.clear();
         sem.successors(&state, &mut steps);
         cursor += 1;
@@ -458,186 +434,6 @@ fn explore_serial<S: Semantics, ST: StateStore<S>>(
     Ok(builder.build(StateId(0)))
 }
 
-/// Minimum frontier states per worker before a level is fanned out; smaller
-/// levels are expanded inline, so the serial prefix of a BFS never pays
-/// thread spawn/join costs.
-const PAR_MIN_CHUNK: usize = 16;
-
-/// How many frontier states a worker expands between watchdog checks.
-const WORKER_CHECK_INTERVAL: usize = 32;
-
-/// The parallel engine behind [`explore_with`]: a *level-synchronous*
-/// parallel BFS built on [`std::thread::scope`].
-///
-/// Each BFS level (the states discovered by the previous level, a contiguous
-/// id range) is split into per-worker chunks; workers expand their chunk
-/// into thread-local successor buffers, and a single deterministic merge
-/// then interns new states and records transitions **ordered by source id,
-/// then successor enumeration order** — exactly the order of the sequential
-/// loop. State ids, transition order, interned action ids and hence the
-/// `.aut` export are therefore bit-identical to the sequential engine at any
-/// worker count; `Jobs::serial()` takes the sequential code path itself.
-///
-/// Budget integration: the merge charges the shared [`Meter`] in the same
-/// order as the sequential run (identical partial statistics on a cap trip),
-/// and workers poll the watchdog's cancellation token and deadline every
-/// [`WORKER_CHECK_INTERVAL`] expansions so an abort interrupts the fan-out
-/// promptly instead of completing the level.
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] (stage [`Stage::Explore`]) when any budget axis
-/// trips; the partial statistics describe the aborted frontier.
-fn explore_parallel<S: Semantics, ST: StateStore<S>>(
-    sem: &S,
-    store: &mut ST,
-    wd: &Watchdog,
-    jobs: Jobs,
-    meter: &mut Meter,
-) -> Result<Lts, Exhausted> {
-    debug_assert!(!jobs.is_serial());
-    let transition_bytes = std::mem::size_of::<(StateId, u32, StateId)>();
-
-    let mut builder = LtsBuilder::new();
-    let mut mem = MemSync::default();
-
-    let (init_id, _) = store.intern(sem, sem.initial_state());
-    debug_assert_eq!(init_id, StateId(0));
-    builder.add_state();
-    meter.add_state()?;
-    mem.sync(store.bytes(), meter)?;
-
-    let mut level_start = 0usize;
-
-    while level_start < store.len() {
-        let level_end = store.len();
-        bb_obs::hot::EXPLORE_FRONTIER.set((level_end - level_start) as u64);
-        store.end_level(level_start as u32, meter);
-        mem.sync(store.bytes(), meter)?;
-        let expansions = expand_level(sem, &*store, wd, level_start, level_end, jobs, meter)?;
-
-        // Deterministic merge. Chunks are contiguous id ranges and are
-        // concatenated in chunk order, so iterating the level's expansions
-        // in offset order replays the sequential visit order exactly.
-        for (offset, steps) in expansions.into_iter().enumerate() {
-            let src_id = StateId((level_start + offset) as u32);
-            for (action, next) in steps {
-                let (dst_id, fresh) = store.intern(sem, next);
-                if fresh {
-                    meter.add_state()?;
-                    mem.sync(store.bytes(), meter)?;
-                    let id = builder.add_state();
-                    debug_assert_eq!(id, dst_id);
-                }
-                let aid = builder.intern_action(action);
-                builder.add_transition(src_id, aid, dst_id);
-                meter.add_transition()?;
-                meter.add_memory(transition_bytes)?;
-            }
-        }
-        level_start = level_end;
-    }
-
-    Ok(builder.build(StateId(0)))
-}
-
-/// The successor buffer of one expanded state.
-type Steps<S> = Vec<(Action, <S as Semantics>::State)>;
-
-/// Expands one BFS level, in parallel when the frontier is large enough.
-///
-/// Returns one successor buffer per frontier state, in frontier order.
-fn expand_level<S: Semantics, ST: StateStore<S>>(
-    sem: &S,
-    store: &ST,
-    wd: &Watchdog,
-    start: usize,
-    end: usize,
-    jobs: Jobs,
-    meter: &mut Meter,
-) -> Result<Vec<Steps<S>>, Exhausted> {
-    let len = end - start;
-    let workers = jobs.for_items(len, PAR_MIN_CHUNK);
-    if workers == 1 {
-        let mut out = Vec::with_capacity(len);
-        let mut rd = ST::Cursor::default();
-        for (i, idx) in (start..end).enumerate() {
-            if i % WORKER_CHECK_INTERVAL == 0 {
-                meter.checkpoint()?;
-            }
-            let state = store.read(sem, idx as u32, &mut rd);
-            let mut steps = Vec::new();
-            sem.successors(&state, &mut steps);
-            out.push(steps);
-        }
-        return Ok(out);
-    }
-
-    let aborted = AtomicBool::new(false);
-    let chunk = len.div_ceil(workers);
-    let pieces = len.div_ceil(chunk);
-    let per_chunk: Vec<Vec<Steps<S>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..pieces)
-            .map(|w| {
-                let aborted = &aborted;
-                let lo = start + w * chunk;
-                let hi = (lo + chunk).min(end);
-                scope.spawn(move || {
-                    let mut out = Vec::with_capacity(hi - lo);
-                    let mut rd = ST::Cursor::default();
-                    for (i, idx) in (lo..hi).enumerate() {
-                        // Cooperative abort: cancellation and the deadline
-                        // are observed mid-fan-out, from every worker, and
-                        // propagate to the sibling workers via the flag.
-                        if i % WORKER_CHECK_INTERVAL == 0
-                            && (aborted.load(Ordering::Relaxed)
-                                || wd.budget().cancel.is_cancelled()
-                                || wd.deadline_passed())
-                        {
-                            aborted.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        let state = store.read(sem, idx as u32, &mut rd);
-                        let mut steps = Vec::new();
-                        sem.successors(&state, &mut steps);
-                        out.push(steps);
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-
-    if aborted.load(Ordering::Relaxed) {
-        // A worker observed cancellation or a blown deadline. Both are
-        // monotone, so the checkpoint reproduces the structured error with
-        // the stats merged so far; the fallback can only trigger if the
-        // deadline axis somehow cleared, and still reports an abort.
-        meter.checkpoint()?;
-        return Err(meter.exhausted(ExhaustReason::Cancelled));
-    }
-
-    // Shard-imbalance profile: successor volume of the heaviest chunk as a
-    // percentage of the mean (100 = perfectly balanced fan-out).
-    if bb_obs::enabled() && per_chunk.len() > 1 {
-        let sizes: Vec<usize> = per_chunk
-            .iter()
-            .map(|c| c.iter().map(Vec::len).sum::<usize>())
-            .collect();
-        let mean = sizes.iter().sum::<usize>() / sizes.len();
-        let max = sizes.iter().copied().max().unwrap_or(0);
-        if let Some(pct) = (max * 100).checked_div(mean) {
-            bb_obs::hot::SHARD_IMBALANCE.record(pct as u64);
-        }
-    }
-
-    Ok(per_chunk.into_iter().flatten().collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -645,10 +441,6 @@ mod tests {
 
     fn gov<S: Semantics>(sem: &S, wd: &Watchdog) -> Result<Lts, Exhausted> {
         explore_with(sem, &ExploreOptions::governed(wd))
-    }
-
-    fn gov_jobs<S: Semantics>(sem: &S, wd: &Watchdog, jobs: Jobs) -> Result<Lts, Exhausted> {
-        explore_with(sem, &ExploreOptions::governed(wd).with_jobs(jobs))
     }
 
     /// A counter from 0 to `max` with an increment loop.
@@ -672,8 +464,8 @@ mod tests {
         }
     }
 
-    /// A branching tree semantics with wide levels, to exercise the
-    /// parallel frontier split (the counter has single-state levels).
+    /// A branching tree semantics with wide levels and duplicate
+    /// discoveries (the counter has single-state levels).
     struct Tree {
         depth: u32,
         fanout: u32,
@@ -791,76 +583,6 @@ mod tests {
         assert!(text.contains("states"), "{text}");
     }
 
-    /// The determinism contract of the tentpole: identical LTS (states,
-    /// transitions, action interning, `.aut` bytes) at every worker count.
-    #[test]
-    fn parallel_explore_is_bit_identical_to_sequential() {
-        let sem = Tree {
-            depth: 12,
-            fanout: 9,
-        };
-        let wd = Watchdog::unlimited();
-        let seq = gov(&sem, &wd).unwrap();
-        for jobs in [1, 2, 4] {
-            let par = gov_jobs(&sem, &Watchdog::unlimited(), Jobs::new(jobs)).unwrap();
-            assert_eq!(par.num_states(), seq.num_states(), "jobs={jobs}");
-            assert_eq!(par.num_transitions(), seq.num_transitions(), "jobs={jobs}");
-            assert_eq!(
-                crate::aut::to_aut(&par),
-                crate::aut::to_aut(&seq),
-                "jobs={jobs}: .aut export must be byte-identical"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_cap_trips_with_identical_partial_stats() {
-        let sem = Tree {
-            depth: 40,
-            fanout: 8,
-        };
-        let budget = Budget::unlimited().with_max_transitions(500);
-        let seq = gov(&sem, &Watchdog::new(budget.clone())).unwrap_err();
-        let par =
-            gov_jobs(&sem, &Watchdog::new(budget), Jobs::new(4)).unwrap_err();
-        assert_eq!(par.reason, seq.reason);
-        assert_eq!(par.partial.states, seq.partial.states);
-        assert_eq!(par.partial.transitions, seq.partial.transitions);
-    }
-
-    #[test]
-    fn parallel_cancellation_aborts_mid_fanout() {
-        let wd = Watchdog::unlimited();
-        wd.cancel();
-        let err = gov_jobs(
-            &Tree {
-                depth: 64,
-                fanout: 64,
-            },
-            &wd,
-            Jobs::new(4),
-        )
-        .unwrap_err();
-        assert_eq!(err.stage, Stage::Explore);
-        assert_eq!(err.reason, ExhaustReason::Cancelled);
-        assert!(err.partial.states >= 1, "the initial state was interned");
-    }
-
-    #[test]
-    fn parallel_deadline_aborts_mid_fanout() {
-        let wd = Watchdog::new(Budget::unlimited().with_deadline(Duration::ZERO));
-        let err = gov_jobs(
-            &Tree {
-                depth: 64,
-                fanout: 64,
-            },
-            &wd,
-            Jobs::new(2),
-        )
-        .unwrap_err();
-        assert_eq!(err.reason, ExhaustReason::Deadline);
-    }
-
     impl CodecSemantics for Tree {
         fn encode_state(&self, s: &(u32, u32), out: &mut Vec<u8>) {
             out.extend_from_slice(&s.0.to_be_bytes());
@@ -875,7 +597,7 @@ mod tests {
     }
 
     /// The compact engine must reproduce the rich-struct engine's LTS
-    /// byte-for-byte, at any worker count.
+    /// byte-for-byte.
     #[test]
     fn compact_explore_is_bit_identical_to_hash_engine() {
         let sem = Tree {
@@ -883,19 +605,16 @@ mod tests {
             fanout: 9,
         };
         let baseline = explore_with(&sem, &ExploreOptions::default()).unwrap();
-        for jobs in [1, 2, 4] {
-            let opts = ExploreOptions::default().with_jobs(Jobs::new(jobs));
-            let (compact, report) = explore_compact(&sem, &opts).unwrap();
-            assert_eq!(compact.num_states(), baseline.num_states(), "jobs={jobs}");
-            assert_eq!(
-                crate::aut::to_aut(&compact),
-                crate::aut::to_aut(&baseline),
-                "jobs={jobs}: compact .aut must be byte-identical"
-            );
-            assert_eq!(report.stats.states, baseline.num_states());
-            assert!(report.store.raw_bytes > 0);
-            assert!(report.store.stored_bytes <= report.store.raw_bytes);
-        }
+        let (compact, report) = explore_compact(&sem, &ExploreOptions::default()).unwrap();
+        assert_eq!(compact.num_states(), baseline.num_states());
+        assert_eq!(
+            crate::aut::to_aut(&compact),
+            crate::aut::to_aut(&baseline),
+            "compact .aut must be byte-identical"
+        );
+        assert_eq!(report.stats.states, baseline.num_states());
+        assert!(report.store.raw_bytes > 0);
+        assert!(report.store.stored_bytes <= report.store.raw_bytes);
     }
 
     /// An in-memory spill tier for engine-level tests.
@@ -922,8 +641,8 @@ mod tests {
         }
     }
 
-    /// Spilling cold segments must not change the LTS (any worker count),
-    /// and must actually fire under a tight memory cap.
+    /// Spilling cold segments must not change the LTS, and must actually
+    /// fire under a tight memory cap.
     ///
     /// The semantics is a chain of fat states with a back-edge to the root:
     /// store bytes dominate the meter, each level boundary is a spill
@@ -938,26 +657,23 @@ mod tests {
         // Cap at roughly half the in-core peak: only spilling keeps the run
         // under it, and the 5/8 high-water mark is crossed mid-run.
         let cap = unspilled.stats.memory_bytes / 2;
-        for jobs in [1, 4] {
-            let spill = MemSpill::default();
-            let wd = Watchdog::new(Budget::unlimited().with_max_memory_bytes(cap));
-            let mut store = ArenaStore::with_seg_target(Some(&spill), 2048);
-            let (lts, report) =
-                explore_impl(&sem, &mut store, &wd, Jobs::new(jobs)).unwrap();
-            assert!(
-                report.store.spilled_segments > 0,
-                "jobs={jobs}: the tight cap must force spilling: {report:?}"
-            );
-            assert_eq!(
-                crate::aut::to_aut(&lts),
-                crate::aut::to_aut(&baseline),
-                "jobs={jobs}: spilled .aut must be byte-identical"
-            );
-            assert!(
-                report.stats.memory_bytes <= cap,
-                "jobs={jobs}: metered peak must respect the cap"
-            );
-        }
+        let spill = MemSpill::default();
+        let wd = Watchdog::new(Budget::unlimited().with_max_memory_bytes(cap));
+        let mut store = ArenaStore::with_seg_target(Some(&spill), 2048);
+        let (lts, report) = explore_impl(&sem, &mut store, &wd).unwrap();
+        assert!(
+            report.store.spilled_segments > 0,
+            "the tight cap must force spilling: {report:?}"
+        );
+        assert_eq!(
+            crate::aut::to_aut(&lts),
+            crate::aut::to_aut(&baseline),
+            "spilled .aut must be byte-identical"
+        );
+        assert!(
+            report.stats.memory_bytes <= cap,
+            "metered peak must respect the cap"
+        );
     }
 
     /// A chain semantics with large, incompressible states: store bytes

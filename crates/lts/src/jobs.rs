@@ -1,12 +1,11 @@
-//! Worker-count configuration for the parallel verification engine.
+//! Worker-count configuration for parallel partition refinement.
 //!
 //! The workspace is std-only by design: all parallelism is built on
-//! [`std::thread::scope`], and every parallel code path is *deterministic* —
-//! state ids, transition order and computed partitions are bit-identical to
-//! the sequential run at any worker count (see the level-synchronous merge
-//! in [`explore_with`](crate::explore_with) on a parallel [`ExploreOptions`](crate::ExploreOptions) and the
-//! sharded signature computation in `bb-bisim`). [`Jobs`] only chooses how
-//! the same work is divided, never what is computed.
+//! [`std::thread::scope`], and the one parallel code path — the sharded
+//! signature computation in `bb-bisim` — is *deterministic*: computed
+//! partitions are bit-identical to the sequential run at any worker count.
+//! Exploration is serial. [`Jobs`] only chooses how the same work is
+//! divided, never what is computed.
 
 /// Number of worker threads a parallel stage may use.
 ///
@@ -52,12 +51,6 @@ impl Jobs {
         self.0
     }
 
-    /// Whether this is the sequential configuration.
-    #[inline]
-    pub fn is_serial(self) -> bool {
-        self.0 == 1
-    }
-
     /// Workers actually worth spawning for `items` units of work, at a
     /// granularity of at least `min_chunk` units per worker. Returns 1 when
     /// the work is too small to amortize thread spawn/join.
@@ -81,7 +74,6 @@ mod tests {
     #[test]
     fn clamps_to_one() {
         assert_eq!(Jobs::new(0).get(), 1);
-        assert!(Jobs::new(0).is_serial());
         assert_eq!(Jobs::new(8).get(), 8);
     }
 

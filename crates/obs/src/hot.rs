@@ -256,9 +256,6 @@ pub static COMPACT_COMPRESSION_PCT: Gauge = Gauge::new("compact.compression_pct"
 
 /// Symmetry orbit sizes searched during canonicalization.
 pub static ORBIT_SIZE: Histogram = Histogram::new("reduce.sym.orbit_size");
-/// Per-level shard imbalance in the parallel engine: `max_chunk * 100 /
-/// mean_chunk` for each level fan-out (100 = perfectly balanced).
-pub static SHARD_IMBALANCE: Histogram = Histogram::new("explore.shard_imbalance_pct");
 /// Per-batch shard imbalance (member states) in the sharded incremental
 /// refinement sweep: `max_chunk * 100 / mean_chunk` per fan-out.
 pub static REFINE_SHARD_IMBALANCE: Histogram = Histogram::new("bisim.shard_imbalance_pct");
@@ -302,9 +299,8 @@ static GAUGES: [&Gauge; 3] = [
     &COMPACT_COMPRESSION_PCT,
 ];
 
-static HISTOGRAMS: [&Histogram; 5] = [
+static HISTOGRAMS: [&Histogram; 4] = [
     &ORBIT_SIZE,
-    &SHARD_IMBALANCE,
     &REFINE_SHARD_IMBALANCE,
     &JOURNAL_FSYNC_US,
     &SEEN_PROBE_LEN,

@@ -20,8 +20,7 @@
 //! chain revisits a state or exceeds [`CHAIN_CAP`] the candidate is
 //! rejected and the state fully expanded. The chase is a pure function of
 //! the state — independent of exploration order — so the reduced LTS is
-//! identical on the serial and parallel engines at any worker count, and
-//! the decision is *consistent along the chain*: if a state accepts its
+//! deterministic, and the decision is *consistent along the chain*: if a state accepts its
 //! designated step, every state the chain passes through accepts its own,
 //! and the chain ends in a fully-expanded state.
 

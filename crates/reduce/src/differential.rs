@@ -107,7 +107,7 @@ where
     S: SequentialSpec,
 {
     let wd = Watchdog::unlimited();
-    let opts = ExploreOptions::governed(&wd).with_jobs(jobs);
+    let opts = ExploreOptions::governed(&wd);
 
     let full_imp = explore_system_with(alg, bound, &opts)?;
     let full_spec = explore_system_with(spec, bound, &opts)?;

@@ -46,8 +46,7 @@ impl fmt::Display for ReduceStats {
 /// [`bb_lts::explore_with`] on either engine — unfolds the *reduced* LTS.
 /// Successor computation is a pure function of the state (the ample chase
 /// and the symmetry orbit search are exploration-order independent), so the
-/// reduced LTS is bit-identical at any worker count, exactly like the
-/// unreduced system.
+/// reduced LTS is deterministic, exactly like the unreduced system.
 #[derive(Debug)]
 pub struct ReducedSystem<'a, A: ObjectAlgorithm> {
     system: System<'a, A>,

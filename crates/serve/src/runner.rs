@@ -220,8 +220,8 @@ fn dispatch_named(spec: &JobSpec, ctl: &RunCtl, out: &mut RunOutput) -> i32 {
 }
 
 /// Explores `alg` at `bound` for every command: the one place exploration
-/// options are built. The run's watchdog meters it, `--jobs` fans it out,
-/// and `--spill` installs the disk tier. With `--reduce`, the reduced
+/// options are built. The run's watchdog meters it and `--spill` installs
+/// the disk tier. With `--reduce`, the reduced
 /// system is unfolded instead and the reducer counters go to stderr
 /// (stdout stays diffable across modes).
 fn explore<A: ObjectAlgorithm>(
@@ -231,7 +231,7 @@ fn explore<A: ObjectAlgorithm>(
     spec: &JobSpec,
     spill: Option<&SpillDir>,
 ) -> Result<Lts, Exhausted> {
-    let mut eo = ExploreOptions::governed(wd).with_jobs(spec.jobs);
+    let mut eo = ExploreOptions::governed(wd);
     if let Some(sd) = spill {
         eo = eo.with_spill(sd);
     }

@@ -127,7 +127,8 @@ pub struct JobSpec {
     pub no_fallback: bool,
     /// State-space reduction mode.
     pub reduce: ReduceMode,
-    /// Worker threads (output-identical at any count; not in the cache key).
+    /// Partition-refinement worker threads (output-identical at any count;
+    /// not in the cache key).
     pub jobs: Jobs,
 }
 

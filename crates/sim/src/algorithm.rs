@@ -164,18 +164,14 @@ impl ThreadPerm {
 /// granularity of the paper's LNT models. Blocking primitives (a lock held
 /// by another thread) are modeled by producing *no* outcome: the thread
 /// simply has no transition until the lock is released.
-///
-/// The `Sync`/`Send` bounds let the most general client run on the parallel
-/// exploration engine (a parallel [`bb_lts::ExploreOptions`]); algorithm states
-/// are plain data everywhere, so the bounds cost implementors nothing.
-pub trait ObjectAlgorithm: Sync {
+pub trait ObjectAlgorithm {
     /// The shared portion of the object state (heap, top/head pointers,
     /// hazard-pointer slots, locks…). The [`Pack`](crate::Pack) bound gives
     /// every state a canonical byte encoding, which is what the compact
     /// exploration engine hashes and stores (see `crate::pack`).
-    type Shared: Clone + Eq + Hash + Debug + Send + Sync + crate::Pack;
+    type Shared: Clone + Eq + Hash + Debug + crate::Pack;
     /// The per-invocation local state: program counter plus registers.
-    type Frame: Clone + Eq + Hash + Debug + Send + Sync + crate::Pack;
+    type Frame: Clone + Eq + Hash + Debug + crate::Pack;
 
     /// Human-readable algorithm name (used in reports and benches).
     fn name(&self) -> &'static str;

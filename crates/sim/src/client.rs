@@ -290,13 +290,13 @@ where
 }
 
 /// Unfolds the most general client of `alg` under `bound` into an explicit
-/// LTS, with budget, worker count and spill tier chosen by `opts`.
+/// LTS, with budget and spill tier chosen by `opts`.
 ///
 /// States are interned as canonical bit-packed encodings in the compact
 /// arena seen-set ([`explore_compact`]); the LTS is bit-identical to the
-/// rich-struct oracle ([`bb_lts::oracle::explore_rich`]) at any worker
-/// count. Reduction layers (`bb-reduce`) wrap the [`System`] semantics and
-/// hand it to [`bb_lts::explore_with`] instead.
+/// rich-struct oracle ([`bb_lts::oracle::explore_rich`]). Reduction layers
+/// (`bb-reduce`) wrap the [`System`] semantics and hand it to
+/// [`bb_lts::explore_with`] instead.
 ///
 /// # Errors
 ///
@@ -582,27 +582,24 @@ mod tests {
     #[test]
     fn compact_engine_is_bit_identical_to_rich_engine() {
         // The compact (packed-arena) seen-set must reproduce the rich
-        // hash-map oracle's `.aut` bytes exactly, at any worker count.
+        // hash-map oracle's `.aut` bytes exactly.
         let bound = Bound::new(2, 2);
         let system = System::new(&TestCounter, bound);
-        for jobs in [bb_lts::Jobs::serial(), bb_lts::Jobs::new(4)] {
-            let opts = ExploreOptions::limits(ExploreLimits::default()).with_jobs(jobs);
-            let (rich, _) = bb_lts::oracle::explore_rich(&system, &opts).unwrap();
-            let (lts, report) = explore_system_report(&TestCounter, bound, &opts).unwrap();
-            assert_eq!(
-                bb_lts::to_aut(&rich),
-                bb_lts::to_aut(&lts),
-                "compact LTS differs at {jobs:?}"
-            );
-            assert!(report.store.raw_bytes > 0);
-            // Tiny encodings may not amortize the 2-byte entry header, but
-            // compression must never cost more than that header per state.
-            assert!(
-                report.store.stored_bytes
-                    <= report.store.raw_bytes + 2 * report.stats.states as u64
-            );
-            assert!(report.store_bytes_peak > 0);
-        }
+        let opts = ExploreOptions::limits(ExploreLimits::default());
+        let (rich, _) = bb_lts::oracle::explore_rich(&system, &opts).unwrap();
+        let (lts, report) = explore_system_report(&TestCounter, bound, &opts).unwrap();
+        assert_eq!(
+            bb_lts::to_aut(&rich),
+            bb_lts::to_aut(&lts),
+            "compact LTS differs"
+        );
+        assert!(report.store.raw_bytes > 0);
+        // Tiny encodings may not amortize the 2-byte entry header, but
+        // compression must never cost more than that header per state.
+        assert!(
+            report.store.stored_bytes <= report.store.raw_bytes + 2 * report.stats.states as u64
+        );
+        assert!(report.store_bytes_peak > 0);
     }
 
     #[test]

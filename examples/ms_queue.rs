@@ -60,8 +60,8 @@ fn main() -> Result<(), bbverify::lts::ExploreError> {
     println!("\n== 4. lock-freedom ==");
     let lf = verify_lock_freedom(&imp);
     println!(
-        "Theorem 5.9 (automatic): lock-free = {}   (Δ ≈div Δ/≈: {})",
-        lf.lock_free, lf.div_bisimilar_to_quotient
+        "Theorem 5.9 (automatic, Δ ≈div Δ/≈ iff no reachable τ-cycle): lock-free = {}",
+        lf.lock_free
     );
     let abs = explore_system(&AbsQueue::new(&[1]), bound, limits)?;
     let via_abs = verify_lock_freedom_via_abstraction(&imp, &abs);

@@ -279,7 +279,7 @@ fn print_usage() {
     eprintln!("  options: --threads N  --ops N  --domain 1,2");
     eprintln!("           --no-lock-freedom  --wait-freedom  --dot FILE  --aut FILE");
     eprintln!("           --formula \"G F (ret | done)\"   (for `check`)");
-    eprintln!("           --jobs N   (worker threads; default = all cores, output identical)");
+    eprintln!("           --jobs N   (refinement workers; default = all cores, output identical)");
     eprintln!("           --reduce none|sym|por|full   (state-space reduction; ≈div-preserving)");
     eprintln!("           `reduce-check <algorithm|all>` cross-checks the reduction: the");
     eprintln!("           reduced LTS must be ≈div the full one with identical verdicts");

@@ -17,7 +17,9 @@ use bbverify::bisim::{
     bisimilar, bisimilar_opts, divergence_witness, divergence_witness_governed, partition,
     partition_with, Equivalence,
 };
-use bbverify::core::{verify_case_governed, GovernedConfig};
+use bbverify::core::{
+    verify_case_governed, verify_case_governed_with, verify_lock_freedom_opts, GovernedConfig,
+};
 use bbverify::lts::{
     random_lts, Budget, ExhaustReason, Lts, RandomLtsConfig, Stage, Watchdog,
 };
@@ -38,6 +40,12 @@ fn msq_lts() -> Lts {
         &ExploreOptions::governed(&Watchdog::unlimited()),
     )
         .expect("unbudgeted exploration fits")
+}
+
+fn msq_spec_lts() -> Lts {
+    let spec = AtomicSpec::new(SeqQueue::new(&[1]));
+    let unlimited = Watchdog::unlimited();
+    explore_system_with(&spec, Bound::new(2, 2), &ExploreOptions::governed(&unlimited)).unwrap()
 }
 
 // ------------------------------------------------- per-stage exhaustion
@@ -82,15 +90,38 @@ fn divergence_search_exhausts_cleanly() {
     assert_eq!(err.reason, ExhaustReason::StateCap);
 }
 
+/// Theorem 5.9 is one τ-cycle pass, so the pass itself must honour the
+/// memory cap: its Tarjan and BFS arrays (about 31 bytes a state) are
+/// charged before they are allocated. A cap of 16 bytes a state admits
+/// every other stage on these systems but not the pass, which must then
+/// end lock-freedom as inconclusive, naming the divergence stage.
+#[test]
+fn divergence_memory_cap_is_inconclusive_never_a_verdict() {
+    let (imp, spec) = (msq_lts(), msq_spec_lts());
+    let budget = Budget::unlimited().with_max_memory_bytes(16 * imp.num_states());
+
+    let err = verify_lock_freedom_opts(&imp, &tiny(budget.clone()), Default::default())
+        .unwrap_err();
+    assert_eq!(err.stage, Stage::Divergence);
+    assert_eq!(err.reason, ExhaustReason::Memory);
+
+    // Through the ladder. Exploration charges more per state than the pass
+    // (store plus 12 bytes a transition), so the systems come in already
+    // explored, as a resumed run seeds them from its checkpoint.
+    let explorer = |_: Bound, _: &Watchdog| Ok((imp.clone(), spec.clone()));
+    let config = GovernedConfig::new(Bound::new(2, 2), budget).no_fallback();
+    let report = verify_case_governed_with("MS queue", &config, &explorer);
+    let failure = report.attempts[0].failure.as_ref().expect("the direct rung exhausts");
+    assert_eq!(failure.stage, Stage::Divergence, "{}", report.render());
+    let lf = report.lock_freedom.as_ref().expect("lock-freedom was checked");
+    assert!(lf.is_inconclusive(), "{}", report.render());
+    assert!(lf.to_string().contains("divergence stage"), "{lf}");
+    assert!(report.linearizability.is_inconclusive(), "{}", report.render());
+}
+
 #[test]
 fn trace_refinement_exhausts_cleanly() {
-    let imp = msq_lts();
-    let spec = explore_system_with(
-        &AtomicSpec::new(SeqQueue::new(&[1])),
-        Bound::new(2, 2),
-        &ExploreOptions::governed(&Watchdog::unlimited()),
-    )
-    .unwrap();
+    let (imp, spec) = (msq_lts(), msq_spec_lts());
     let wd = tiny(Budget::unlimited().with_max_transitions(4));
     let err =
         trace_refines_governed(&imp, &spec, RefineOptions::default(), &wd).unwrap_err();

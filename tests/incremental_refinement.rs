@@ -17,10 +17,10 @@ use bbverify::algorithms::{
     two_lock_queue::TwoLockQueue,
 };
 use bbverify::bisim::{
-    oracle, partition_with, partition_with_history, quotient, Equivalence, Partition,
-    PartitionOptions, RefinementHistory,
+    has_tau_cycle, oracle, partition_with, partition_with_history, quotient, Equivalence,
+    Partition, PartitionOptions, RefinementHistory,
 };
-use bbverify::core::{verify_case_lts, VerifyConfig};
+use bbverify::core::{verify_case_lts, verify_lock_freedom, VerifyConfig};
 use bbverify::lts::{
     disjoint_union, random_lts, to_aut, Action, Budget, ExhaustReason, Exhausted, ExploreLimits,
     Jobs, Lts, LtsBuilder, RandomLtsConfig, Stage, ThreadId, Watchdog,
@@ -138,13 +138,27 @@ fn aut_exports_of_quotients_are_byte_identical() {
     }
 }
 
+/// Theorem 5.9 three ways must give one answer: the `≈div` refinement of
+/// `Δ ⊎ Δ/≈` (the paper's check, kept as an oracle), the production
+/// τ-cycle pass, and a bare reachable-τ-cycle test.
+fn assert_lock_freedom_routes_agree(name: &str, imp: &Lts) {
+    let wd = Watchdog::unlimited();
+    let by_union = bbverify::core::oracle::lock_free_by_div_union(imp, &wd, jobs(1)).unwrap();
+    let report = verify_lock_freedom(imp);
+    assert_eq!(by_union, report.lock_free, "{name}: ≈div union disagrees with the report");
+    assert_eq!(report.lock_free, !has_tau_cycle(imp), "{name}: τ-cycle test disagrees");
+    assert_eq!(report.lock_free, report.divergence.is_none(), "{name}: lasso without a verdict");
+}
+
 /// The oracle check behind every `tables verdicts` line: on each of the 19
 /// roster cases, the full engine's partition equals the production
 /// engine's on every LTS the verdict pipeline refines — the implementation
-/// and the specification under `≈` (Theorem 5.3), and the union of the
-/// implementation with its quotient under `≈div` (Theorem 5.9, lock-free
-/// cases only). Equal partitions make equal verdicts; the verdict summary
-/// is also checked at four workers.
+/// and the specification under `≈` (Theorem 5.3), and, on the 12
+/// lock-freedom cases, the union of the implementation with its quotient
+/// under `≈div`. Equal partitions make equal verdicts; the verdict summary
+/// is also checked at four workers. The lock-freedom cases also check that
+/// the three routes to Theorem 5.9 agree, at the verdict bound and at the
+/// second bound `lf_bound`.
 #[test]
 fn verdicts_are_identical_across_engines() {
     fn check<A: ObjectAlgorithm, S: SequentialSpec>(
@@ -152,8 +166,9 @@ fn verdicts_are_identical_across_engines() {
         alg: A,
         spec: S,
         bound: (u8, u32),
-        lock_freedom: bool,
+        lf_bound: Option<(u8, u32)>,
     ) {
+        let lock_freedom = lf_bound.is_some();
         let (th, op) = bound;
         let imp = lts_of(&alg, th, op);
         let sp = lts_of(&AtomicSpec::new(spec), th, op);
@@ -166,6 +181,10 @@ fn verdicts_are_identical_across_engines() {
             let div = Equivalence::BranchingDiv;
             let p_inc = incremental(&u, div, jobs(1));
             assert_eq!(full(&u, div), p_inc, "{name}: ≈div union differs");
+            assert_lock_freedom_routes_agree(&format!("{name} {th}-{op}"), &imp);
+        }
+        if let Some((th, op)) = lf_bound {
+            assert_lock_freedom_routes_agree(&format!("{name} {th}-{op}"), &lts_of(&alg, th, op));
         }
         let mut cfg = VerifyConfig::new(Bound::new(th, op));
         if !lock_freedom {
@@ -175,26 +194,29 @@ fn verdicts_are_identical_across_engines() {
         let parallel = verify_case_lts("case", cfg.with_jobs(Jobs::new(4)), &imp, &sp).summary();
         assert_eq!(serial, parallel, "{name}: verdict differs at 4 jobs");
     }
-    check("treiber", Treiber::new(&[1, 2]), SeqStack::new(&[1, 2]), (2, 2), true);
-    check("treiber-hp", TreiberHp::new(&[1], 2), SeqStack::new(&[1]), (2, 2), true);
-    check("treiber-hp-fu", TreiberHpFu::new(&[1], 2), SeqStack::new(&[1]), (2, 2), true);
-    check("ms-queue", MsQueue::new(&[1, 2]), SeqQueue::new(&[1, 2]), (2, 2), true);
-    check("dglm-queue", DglmQueue::new(&[1, 2]), SeqQueue::new(&[1, 2]), (2, 2), true);
-    check("hw-queue", HwQueue::for_bound(&[1], 3, 1), SeqQueue::new(&[1]), (3, 1), true);
-    check("ccas", Ccas::new(2), SeqCcas::new(2), (2, 2), true);
-    check("rdcss", Rdcss::new(2), SeqRdcss::new(2), (2, 1), true);
-    check("newcas", NewCas::new(2), SeqRegister::new(2), (2, 2), true);
-    check("hm-list", HmList::revised(&[1]), SeqSet::new(&[1]), (2, 2), true);
-    check("hm-list-buggy", HmList::buggy(&[1]), SeqSet::new(&[1]), (2, 2), true);
-    check("hsy-stack", HsyStack::new(&[1]), SeqStack::new(&[1]), (2, 2), true);
-    check("lazy-list", LazyList::new(&[1]), SeqSet::new(&[1]), (2, 2), false);
-    check("optimistic-list", OptimisticList::new(&[1]), SeqSet::new(&[1]), (2, 2), false);
-    check("fine-list", FineList::new(&[1]), SeqSet::new(&[1]), (2, 2), false);
-    check("two-lock-queue", TwoLockQueue::new(&[1]), SeqQueue::new(&[1]), (2, 2), false);
+    // Second bounds: 3-1 where the model takes a third thread and stays
+    // small, else the 2-1 below the verdict bound (2-2 above it for RDCSS,
+    // whose 3-1 has 142k states).
+    check("treiber", Treiber::new(&[1, 2]), SeqStack::new(&[1, 2]), (2, 2), Some((3, 1)));
+    check("treiber-hp", TreiberHp::new(&[1], 2), SeqStack::new(&[1]), (2, 2), Some((2, 1)));
+    check("treiber-hp-fu", TreiberHpFu::new(&[1], 2), SeqStack::new(&[1]), (2, 2), Some((2, 1)));
+    check("ms-queue", MsQueue::new(&[1, 2]), SeqQueue::new(&[1, 2]), (2, 2), Some((2, 1)));
+    check("dglm-queue", DglmQueue::new(&[1, 2]), SeqQueue::new(&[1, 2]), (2, 2), Some((2, 1)));
+    check("hw-queue", HwQueue::for_bound(&[1], 3, 1), SeqQueue::new(&[1]), (3, 1), Some((2, 1)));
+    check("ccas", Ccas::new(2), SeqCcas::new(2), (2, 2), Some((2, 1)));
+    check("rdcss", Rdcss::new(2), SeqRdcss::new(2), (2, 1), Some((2, 2)));
+    check("newcas", NewCas::new(2), SeqRegister::new(2), (2, 2), Some((3, 1)));
+    check("hm-list", HmList::revised(&[1]), SeqSet::new(&[1]), (2, 2), Some((2, 1)));
+    check("hm-list-buggy", HmList::buggy(&[1]), SeqSet::new(&[1]), (2, 2), Some((2, 1)));
+    check("hsy-stack", HsyStack::new(&[1]), SeqStack::new(&[1]), (2, 2), Some((3, 1)));
+    check("lazy-list", LazyList::new(&[1]), SeqSet::new(&[1]), (2, 2), None);
+    check("optimistic-list", OptimisticList::new(&[1]), SeqSet::new(&[1]), (2, 2), None);
+    check("fine-list", FineList::new(&[1]), SeqSet::new(&[1]), (2, 2), None);
+    check("two-lock-queue", TwoLockQueue::new(&[1]), SeqQueue::new(&[1]), (2, 2), None);
     let (stack, queue, set) = (SeqStack::new(&[1]), SeqQueue::new(&[1]), SeqSet::new(&[1]));
-    check("coarse-stack", CoarseLocked::new(stack.clone()), stack, (2, 2), false);
-    check("coarse-queue", CoarseLocked::new(queue.clone()), queue, (2, 2), false);
-    check("coarse-set", CoarseLocked::new(set.clone()), set, (2, 2), false);
+    check("coarse-stack", CoarseLocked::new(stack.clone()), stack, (2, 2), None);
+    check("coarse-queue", CoarseLocked::new(queue.clone()), queue, (2, 2), None);
+    check("coarse-set", CoarseLocked::new(set.clone()), set, (2, 2), None);
 }
 
 /// The jobs sweep: partitions, round-by-round histories and quotient

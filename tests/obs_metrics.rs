@@ -82,8 +82,61 @@ fn span_tree_covers_every_pipeline_phase() {
     // The phase vocabulary of the verify pipeline.
     assert_eq!(names[0], "bbv", "root span");
     for phase in ["explore.system", "explore", "lin", "bisim", "bisim.round", "quotient",
-                  "refine", "lockfree"] {
+                  "refine", "lockfree", "divergence"] {
         assert!(names.iter().any(|n| n == phase), "missing phase `{phase}` in {names:?}");
+    }
+}
+
+fn spans_named<'a>(doc: &'a JsonValue, name: &str) -> Vec<&'a JsonValue> {
+    let spans = doc.get("spans").and_then(JsonValue::as_array).expect("spans array");
+    spans.iter().filter(|s| s.get("name").unwrap().as_str() == Some(name)).collect()
+}
+
+fn field(span: &JsonValue, key: &str) -> Option<u64> {
+    span.get("fields")?.get(key)?.as_u64()
+}
+
+/// The `explore` span reports the state store's own peak (`store_bytes`,
+/// the figure the compact store shrinks) next to the meter total, and the
+/// `explore.store_bytes` gauge peak is the larger of the two explorations.
+#[test]
+fn explore_span_reports_the_store_peak() {
+    let (doc, _) = capture("store", "ms-queue");
+    let explores = spans_named(&doc, "explore");
+    assert_eq!(explores.len(), 2, "implementation and specification");
+    let mut peak = 0;
+    for s in &explores {
+        let store = field(s, "store_bytes").expect("explore span has store_bytes");
+        let mem = field(s, "mem_bytes").expect("explore span has mem_bytes");
+        assert!(store > 0 && store <= mem, "store {store} within the meter total {mem}");
+        assert_eq!(field(s, "jobs"), None, "exploration is serial");
+        peak = peak.max(store);
+    }
+    let gauge = doc.get("counters").unwrap().get("explore.store_bytes").unwrap().as_u64();
+    assert_eq!(gauge, Some(peak));
+}
+
+/// Theorem 5.9 is the τ-cycle pass: `lockfree` has a `divergence` child and
+/// no `bisim` child, and records the cycle and, on a refutation, the lasso
+/// lengths.
+#[test]
+fn lockfree_span_is_the_tau_cycle_pass() {
+    for (algo, lock_free) in [("ms-queue", true), ("hw-queue", false)] {
+        let (doc, _) = capture(&format!("lockfree_{algo}"), algo);
+        let spans = doc.get("spans").and_then(JsonValue::as_array).unwrap();
+        let lockfree = spans_named(&doc, "lockfree");
+        let [lf] = lockfree.as_slice() else { panic!("one lockfree span: {lockfree:?}") };
+        let id = lf.get("id").unwrap().as_u64();
+        let children: Vec<&str> = spans
+            .iter()
+            .filter(|s| s.get("parent").unwrap().as_u64() == id)
+            .map(|s| s.get("name").unwrap().as_str().unwrap())
+            .collect();
+        assert_eq!(children, ["divergence"], "{algo}");
+        assert_eq!(field(lf, "lock_free"), Some(u64::from(lock_free)), "{algo}");
+        assert_eq!(field(lf, "tau_cycle"), Some(u64::from(!lock_free)), "{algo}");
+        assert_eq!(field(lf, "cycle_len").is_some(), !lock_free, "{algo}");
+        assert_eq!(field(lf, "prefix_len").is_some(), !lock_free, "{algo}");
     }
 }
 

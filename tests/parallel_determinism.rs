@@ -1,19 +1,15 @@
-//! The parallel engine is an optimization, not a semantics change: at any
-//! worker count the explorer must intern the same states in the same order
-//! and the refiner must produce the same partition. These tests pin that
-//! down bit-for-bit — `.aut` exports and partition block structures are
-//! compared as values, and a cancellation mid-fan-out must surface as the
-//! same structured `Exhausted` error the sequential engine reports.
+//! Parallel refinement is an optimization, not a semantics change: at any
+//! worker count the refiner must produce the same partition, and a budget
+//! trip must report the same partial statistics. These tests pin that down
+//! bit-for-bit — partition block structures are compared as values.
+//! (Exploration is serial; `--jobs` only sets refinement workers.)
 
 use bbverify::algorithms::{ms_queue::MsQueue, specs::SeqStack, treiber::Treiber};
 use bbverify::bisim::{partition, partition_with, Equivalence, PartitionOptions};
 use bbverify::lts::{
-    random_lts, to_aut, Budget, CancelToken, ExhaustReason, ExploreLimits, ExploreOptions, Jobs,
-    RandomLtsConfig, Watchdog,
+    random_lts, Budget, ExhaustReason, ExploreLimits, Jobs, RandomLtsConfig, Stage, Watchdog,
 };
-use bbverify::sim::{
-    explore_system, explore_system_with, AtomicSpec, Bound,
-};
+use bbverify::sim::{explore_system, AtomicSpec, Bound};
 
 /// Sweep sizes: the full sweep takes ~45 s optimized, which debug builds
 /// would stretch into many minutes, so debug runs a scaled-down version of
@@ -69,89 +65,52 @@ fn partition_is_identical_at_any_worker_count_on_random_systems() {
     }
 }
 
-/// The two real algorithms of the sweep: exploration must produce the same
-/// `.aut` bytes (states, transitions, order) at any worker count, and the
-/// downstream partition must match too.
+/// The three real systems of the sweep: their branching and divergence-
+/// sensitive partitions must be the same at any worker count.
 #[test]
-fn real_algorithms_explore_bit_identically_at_any_worker_count() {
+fn real_algorithms_refine_bit_identically_at_any_worker_count() {
     let bound = Bound::new(2, 2);
     let limits = ExploreLimits::default();
-
-    let treiber = Treiber::new(&[1, 2]);
-    let ms = MsQueue::new(&[1]);
-    let spec = AtomicSpec::new(SeqStack::new(&[1, 2]));
-
-    let seq_treiber = explore_system(&treiber, bound, limits).unwrap();
-    let seq_ms = explore_system(&ms, bound, limits).unwrap();
-    let seq_spec = explore_system(&spec, bound, limits).unwrap();
-
-    for jobs in [1, 2, 4] {
-        let j = Jobs::new(jobs);
-        let opts = ExploreOptions::limits(limits).with_jobs(j);
-        let par_treiber = explore_system_with(&treiber, bound, &opts).unwrap();
-        let par_ms = explore_system_with(&ms, bound, &opts).unwrap();
-        let par_spec = explore_system_with(&spec, bound, &opts).unwrap();
-        assert_eq!(to_aut(&seq_treiber), to_aut(&par_treiber), "{jobs} jobs");
-        assert_eq!(to_aut(&seq_ms), to_aut(&par_ms), "{jobs} jobs");
-        assert_eq!(to_aut(&seq_spec), to_aut(&par_spec), "{jobs} jobs");
-
-        let p_seq = partition(&seq_treiber, Equivalence::Branching);
-        let opts = PartitionOptions::default().with_jobs(j);
-        let wd = Watchdog::unlimited();
-        let p_par = partition_with(&par_treiber, Equivalence::Branching, &wd, opts).unwrap();
-        assert_eq!(p_seq.assignment(), p_par.assignment(), "{jobs} jobs");
+    let systems = [
+        explore_system(&Treiber::new(&[1, 2]), bound, limits).unwrap(),
+        explore_system(&MsQueue::new(&[1]), bound, limits).unwrap(),
+        explore_system(&AtomicSpec::new(SeqStack::new(&[1, 2])), bound, limits).unwrap(),
+    ];
+    let wd = Watchdog::unlimited();
+    for lts in &systems {
+        for eq in [Equivalence::Branching, Equivalence::BranchingDiv] {
+            let reference = partition(lts, eq);
+            for jobs in [1, 2, 4] {
+                let opts = PartitionOptions::default().with_jobs(Jobs::new(jobs));
+                let p = partition_with(lts, eq, &wd, opts).unwrap();
+                assert_eq!(reference.assignment(), p.assignment(), "{eq:?}, {jobs} jobs");
+            }
+        }
     }
 }
 
-/// A transition cap tripping mid-fan-out must report the exact same partial
-/// statistics as the sequential engine: the deterministic merge performs
-/// the same accounting in the same order.
+/// A transition cap tripping mid-refinement must report the exact same
+/// partial statistics at any worker count: signatures are computed in
+/// parallel, but the meter is charged sequentially in state order.
 #[test]
 fn cap_trip_reports_identical_partial_stats_at_any_worker_count() {
-    let ms = MsQueue::new(&[1]);
-    let bound = Bound::new(2, 2);
-    let budget = Budget::unlimited().with_max_transitions(300);
-
-    let wd_seq = Watchdog::new(budget.clone());
-    let seq = explore_system_with(&ms, bound, &ExploreOptions::governed(&wd_seq).with_jobs(Jobs::new(1)))
-        .expect_err("a 300-transition cap must trip on the 2-2 MS queue");
+    let lts = explore_system(&MsQueue::new(&[1]), Bound::new(2, 2), ExploreLimits::default())
+        .unwrap();
+    let budget = Budget::unlimited().with_max_transitions(2 * lts.num_transitions());
+    let refine = |jobs: usize| {
+        let opts = PartitionOptions::default().with_jobs(Jobs::new(jobs));
+        partition_with(&lts, Equivalence::Branching, &Watchdog::new(budget.clone()), opts)
+            .expect_err("a two-scan transition cap must trip mid-refinement")
+    };
+    let seq = refine(1);
     assert_eq!(seq.reason, ExhaustReason::TransitionCap);
-
+    assert_eq!(seq.stage, Stage::Bisim);
     for jobs in [2, 4] {
-        let wd_par = Watchdog::new(budget.clone());
-        let par =
-            explore_system_with(&ms, bound, &ExploreOptions::governed(&wd_par).with_jobs(Jobs::new(jobs)))
-                .expect_err("the same cap must trip at any worker count");
+        let par = refine(jobs);
         assert_eq!(par.reason, seq.reason, "{jobs} jobs");
         assert_eq!(par.stage, seq.stage, "{jobs} jobs");
-        assert_eq!(
-            par.partial.transitions, seq.partial.transitions,
-            "{jobs} jobs"
-        );
+        assert_eq!(par.partial.transitions, seq.partial.transitions, "{jobs} jobs");
         assert_eq!(par.partial.states, seq.partial.states, "{jobs} jobs");
+        assert_eq!(par.partial.refinement, seq.partial.refinement, "{jobs} jobs");
     }
-}
-
-/// Cancelling before the fan-out starts: the parallel explorer must abort
-/// promptly with `Cancelled` and sane (small, consistent) partial stats
-/// rather than running the exploration to completion.
-#[test]
-fn cancellation_mid_parallel_exploration_is_prompt_and_structured() {
-    let ms = MsQueue::new(&[1]);
-    let bound = Bound::new(2, 2);
-    let token = CancelToken::new();
-    token.cancel();
-    let budget = Budget::unlimited().with_cancel_token(token);
-    let wd = Watchdog::new(budget);
-    let err = explore_system_with(&ms, bound, &ExploreOptions::governed(&wd).with_jobs(Jobs::new(4)))
-        .expect_err("a pre-cancelled token must abort the exploration");
-    assert_eq!(err.reason, ExhaustReason::Cancelled);
-    let full = explore_system(&ms, bound, ExploreLimits::default()).unwrap();
-    assert!(
-        err.partial.states < full.num_states(),
-        "cancellation must abort before the full state space is built \
-         ({} seen of {})",
-        err.partial.states,
-        full.num_states()
-    );
 }

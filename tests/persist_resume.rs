@@ -530,6 +530,49 @@ fn resume_jobs_override_reuses_jobs1_checkpoint() {
     let _ = std::fs::remove_dir_all(&ckpt);
 }
 
+/// Checkpoints cut before Theorem 5.9 became a τ-cycle search hold two
+/// more refinement sections: `refine/2` (the lock-freedom stage's repeat of
+/// the implementation's branching partition) and `refine/3` (the `≈div`
+/// refinement of Δ ⊎ Δ/≈). No refinement call claims those indices any
+/// more, so a resume must ignore them and still reproduce the
+/// uninterrupted report byte for byte.
+#[test]
+fn parent_format_checkpoint_with_lock_freedom_sections_resumes_identically() {
+    let args = ["verify", "ms-queue", "--threads", "2", "--ops", "2", "--timeout", "120s"];
+    let base = bbv(&args, &[]);
+    assert_eq!(base.status.code(), Some(0));
+
+    let ckpt = tmp_dir("parent-format");
+    let mut crash_args = args.to_vec();
+    crash_args.extend(["--checkpoint", ckpt.to_str().unwrap(), "--checkpoint-every", "1"]);
+    let crashed = bbv(&crash_args, &[("BB_FAULT", "round-abort:2")]);
+    assert!(!crashed.status.success(), "round-abort must kill the run");
+
+    let mut doc = bb_persist::Checkpoint::load(&ckpt).expect("the crash left a checkpoint");
+    let first = doc.sections.get("refine/0").cloned().expect("a refinement round was cut");
+    let union = bb_persist::Section {
+        fingerprint: first.fingerprint ^ 1,
+        payload: first.payload.clone(),
+    };
+    doc.sections.insert("refine/2".into(), first);
+    doc.sections.insert("refine/3".into(), union);
+    doc.save(&ckpt).expect("checkpoint rewritten");
+
+    let resumed = bbv(&["resume", ckpt.to_str().unwrap()], &[]);
+    assert_eq!(
+        resumed.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert_eq!(
+        mask_durations(&stdout_of(&resumed)),
+        mask_durations(&stdout_of(&base)),
+        "a parent-format checkpoint must resume to the uninterrupted report"
+    );
+    let _ = std::fs::remove_dir_all(&ckpt);
+}
+
 /// `--checkpoint` is output-neutral: stdout and the exit code are
 /// byte-identical with and without it (like the bb-obs flags).
 #[test]

@@ -14,11 +14,13 @@
 
 use bbverify::bisim::{
     bisimilar, div_quotient, divergence_witness, has_tau_cycle, partition, quotient,
-    starvation_witness, Equivalence,
+    starvation_witness, Equivalence, PartitionOptions,
 };
+use bbverify::core::oracle::lock_free_by_div_union;
+use bbverify::core::verify_lock_freedom;
 use bbverify::ktrace::{cap, ktrace_partition, KtraceLimits};
 use bbverify::lts::ThreadId;
-use bbverify::lts::{random_lts, Lts, RandomLtsConfig};
+use bbverify::lts::{random_lts, Lts, RandomLtsConfig, Watchdog};
 use bbverify::ltl::{check, lock_freedom};
 use bbverify::refine::{trace_equivalent, trace_refines};
 
@@ -112,16 +114,17 @@ fn equivalence_lattice() {
     });
 }
 
-/// Theorem 5.9 mechanics: Δ ≈div Δ/≈ holds iff Δ has no reachable
-/// τ-cycle, and the divergence witness agrees.
+/// Theorem 5.9 mechanics: Δ ≈div Δ/≈ (the `≈div`-union oracle) holds iff
+/// Δ has no reachable τ-cycle, which is what the production check reports,
+/// and the divergence witness agrees.
 #[test]
 fn divergence_characterization() {
+    let wd = Watchdog::unlimited();
     for_each_lts(|lts| {
-        let p = partition(lts, Equivalence::Branching);
-        let q = quotient(lts, &p);
-        let div_bisim = bisimilar(lts, &q.lts, Equivalence::BranchingDiv);
+        let div_bisim = lock_free_by_div_union(lts, &wd, PartitionOptions::default()).unwrap();
         let cycle = has_tau_cycle(lts);
         assert_eq!(div_bisim, !cycle);
+        assert_eq!(verify_lock_freedom(lts).lock_free, !cycle);
         assert_eq!(divergence_witness(lts).is_some(), cycle);
     });
 }

@@ -10,8 +10,9 @@
 //!    including on the three known-buggy case studies, whose *failures*
 //!    must survive reduction unchanged.
 //!
-//! A final test checks that reduction composes with the parallel engine:
-//! the reduced LTS is byte-identical at any `--jobs` count.
+//! A final test checks that reduction composes with the parallel refiner:
+//! the reduced LTS repeats byte for byte, and its partition is the same at
+//! any `--jobs` count.
 
 use bbverify::algorithms::{
     ccas::Ccas, coarse::CoarseLocked, dglm_queue::DglmQueue, fine_list::FineList, hm_list::HmList,
@@ -19,7 +20,8 @@ use bbverify::algorithms::{
     newcas::NewCas, optimistic_list::OptimisticList, rdcss::Rdcss, specs::*, treiber::Treiber,
     treiber_hp::TreiberHp, treiber_hp_fu::TreiberHpFu, two_lock_queue::TwoLockQueue,
 };
-use bbverify::lts::{to_aut, ExploreOptions, Jobs};
+use bbverify::bisim::{partition, partition_with, Equivalence, PartitionOptions};
+use bbverify::lts::{to_aut, ExploreOptions, Jobs, Watchdog};
 use bbverify::reduce::{differential_check, explore_reduced, DifferentialReport, ReduceMode};
 use bbverify::sim::{AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 
@@ -140,28 +142,31 @@ fn individual_layers_on_representative_algorithms() {
 }
 
 /// Reduction composes deterministically with `--jobs N`: the reduced LTS is
-/// byte-identical regardless of worker count, for an algorithm exercising
-/// every reducer feature (ample chains, proviso fallbacks, symmetry with
+/// byte-identical from run to run, and its branching partition is the same
+/// at any refinement worker count, for an algorithm exercising every
+/// reducer feature (ample chains, proviso fallbacks, symmetry with
 /// per-thread slot renaming).
 #[test]
 fn reduced_exploration_is_deterministic_across_jobs() {
     let alg = TreiberHp::new(&[1], 2);
     let bound = Bound::new(2, 2);
-    let (base, stats) =
-        explore_reduced(&alg, bound, ReduceMode::Full, &ExploreOptions::new()).unwrap();
+    let reduce = || explore_reduced(&alg, bound, ReduceMode::Full, &ExploreOptions::new());
+    let (base, stats) = reduce().unwrap();
     assert!(stats.ample_states > 0, "reducer must actually fire: {stats}");
+    assert_eq!(
+        to_aut(&base),
+        to_aut(&reduce().unwrap().0),
+        "reduced LTS must repeat"
+    );
+    let reference = partition(&base, Equivalence::Branching);
     for jobs in [2, 4, 8] {
-        let (par, _) = explore_reduced(
-            &alg,
-            bound,
-            ReduceMode::Full,
-            &ExploreOptions::new().with_jobs(Jobs::new(jobs)),
-        )
-        .unwrap();
+        let opts = PartitionOptions::default().with_jobs(Jobs::new(jobs));
+        let p =
+            partition_with(&base, Equivalence::Branching, &Watchdog::unlimited(), opts).unwrap();
         assert_eq!(
-            to_aut(&base),
-            to_aut(&par),
-            "reduced LTS must be identical at {jobs} worker threads"
+            reference.assignment(),
+            p.assignment(),
+            "reduced partition must be identical at {jobs} worker threads"
         );
     }
 }
