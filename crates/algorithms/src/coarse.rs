@@ -9,7 +9,8 @@
 
 use bb_lts::ThreadId;
 use bb_sim::{
-    Footprint, MethodId, MethodSpec, ObjectAlgorithm, Outcome, SequentialSpec, ThreadPerm, Value,
+    Footprint, Frames, MethodId, MethodSpec, ObjectAlgorithm, Outcome, SequentialSpec, ThreadPerm,
+    Value,
 };
 
 /// A sequential object protected by a single global lock.
@@ -47,6 +48,11 @@ impl<S: bb_sim::Pack> bb_sim::Pack for Shared<S> {
             state: bb_sim::Pack::unpack(r)?,
             lock: bb_sim::Pack::unpack(r)?,
         })
+    }
+
+    fn unpack_into(&mut self, r: &mut bb_sim::PackReader<'_>) -> Option<()> {
+        self.state.unpack_into(r)?;
+        self.lock.unpack_into(r)
     }
 
     fn heap_bytes(&self) -> usize {
@@ -174,7 +180,7 @@ impl<S: SequentialSpec> ObjectAlgorithm for CoarseLocked<S> {
     fn rename_threads(
         &self,
         shared: &mut Shared<S>,
-        _frames: &mut [&mut Frame],
+        _frames: &mut Frames<'_, Frame>,
         perm: &ThreadPerm,
     ) {
         if let Some(owner) = shared.lock {

@@ -9,7 +9,9 @@
 
 use crate::list_node::ListNode;
 use bb_lts::ThreadId;
-use bb_sim::{Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr, Value, EMPTY};
+use bb_sim::{
+    CanonScratch, Frames, Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr, Value, EMPTY,
+};
 
 /// The DGLM queue over a finite enqueue-value domain.
 #[derive(Debug, Clone)]
@@ -353,12 +355,19 @@ impl ObjectAlgorithm for DglmQueue {
         }
     }
 
-    fn canonicalize(&self, shared: &mut Shared, frames: &mut [&mut Frame]) {
-        let mut roots = vec![shared.head, shared.tail];
+    fn canonicalize(
+        &self,
+        shared: &mut Shared,
+        frames: &mut Frames<'_, Frame>,
+        scratch: &mut CanonScratch,
+    ) {
+        let mut c = shared.heap.canonicalizer(scratch);
+        c.root(shared.head);
+        c.root(shared.tail);
         for f in frames.iter() {
-            visit(f, &mut |p| roots.push(p));
+            visit(f, &mut |p| c.root(p));
         }
-        let ren = shared.heap.canonicalize(&roots);
+        let ren = c.finish();
         shared.head = ren.apply(shared.head);
         shared.tail = ren.apply(shared.tail);
         for f in frames.iter_mut() {

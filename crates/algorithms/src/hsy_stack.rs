@@ -11,7 +11,9 @@
 
 use crate::list_node::ListNode;
 use bb_lts::ThreadId;
-use bb_sim::{Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr, Value, EMPTY};
+use bb_sim::{
+    CanonScratch, Frames, Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr, Value, EMPTY,
+};
 
 /// Rounds a waiter re-checks the slot before timing out.
 const SPIN: u8 = 1;
@@ -505,12 +507,18 @@ impl ObjectAlgorithm for HsyStack {
         }
     }
 
-    fn canonicalize(&self, shared: &mut Shared, frames: &mut [&mut Frame]) {
-        let mut roots = vec![shared.top];
+    fn canonicalize(
+        &self,
+        shared: &mut Shared,
+        frames: &mut Frames<'_, Frame>,
+        scratch: &mut CanonScratch,
+    ) {
+        let mut c = shared.heap.canonicalizer(scratch);
+        c.root(shared.top);
         for f in frames.iter() {
-            visit(f, &mut |p| roots.push(p));
+            visit(f, &mut |p| c.root(p));
         }
-        let ren = shared.heap.canonicalize(&roots);
+        let ren = c.finish();
         shared.top = ren.apply(shared.top);
         for f in frames.iter_mut() {
             rewrite(f, &mut |p| *p = ren.apply(*p));

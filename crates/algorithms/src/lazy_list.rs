@@ -10,7 +10,10 @@
 
 use crate::list_node::ListNode;
 use bb_lts::ThreadId;
-use bb_sim::{Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr, Value, FALSE, TRUE};
+use bb_sim::{
+    CanonScratch, Frames, Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr, Value, FALSE,
+    TRUE,
+};
 
 /// Key of the head sentinel.
 const HEAD_KEY: Value = i64::MIN;
@@ -464,12 +467,18 @@ impl ObjectAlgorithm for LazyList {
         }
     }
 
-    fn canonicalize(&self, shared: &mut Shared, frames: &mut [&mut Frame]) {
-        let mut roots = vec![shared.head];
+    fn canonicalize(
+        &self,
+        shared: &mut Shared,
+        frames: &mut Frames<'_, Frame>,
+        scratch: &mut CanonScratch,
+    ) {
+        let mut c = shared.heap.canonicalizer(scratch);
+        c.root(shared.head);
         for f in frames.iter() {
-            visit(f, &mut |p| roots.push(p));
+            visit(f, &mut |p| c.root(p));
         }
-        let ren = shared.heap.canonicalize(&roots);
+        let ren = c.finish();
         shared.head = ren.apply(shared.head);
         for f in frames.iter_mut() {
             rewrite(f, &mut |p| *p = ren.apply(*p));

@@ -54,7 +54,10 @@ mod tests {
         let mut h: Heap<ListNode> = Heap::new();
         let a = h.alloc(ListNode::new(1, Ptr::NULL));
         let b = h.alloc(ListNode::new(2, a));
-        let ren = h.canonicalize(&[b]);
+        let mut scratch = bb_sim::CanonScratch::default();
+        let mut c = h.canonicalizer(&mut scratch);
+        c.root(b);
+        let ren = c.finish();
         let nb = ren.apply(b);
         assert_eq!(h.node(h.node(nb).next).val, 1);
     }

@@ -7,7 +7,10 @@
 
 use crate::list_node::ListNode;
 use bb_lts::ThreadId;
-use bb_sim::{Footprint, Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr, Value, EMPTY};
+use bb_sim::{
+    CanonScratch, Footprint, Frames, Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr,
+    Value, EMPTY,
+};
 
 /// The MS queue over a finite enqueue-value domain.
 #[derive(Debug, Clone)]
@@ -349,12 +352,19 @@ impl ObjectAlgorithm for MsQueue {
         }
     }
 
-    fn canonicalize(&self, shared: &mut Shared, frames: &mut [&mut Frame]) {
-        let mut roots = vec![shared.head, shared.tail];
+    fn canonicalize(
+        &self,
+        shared: &mut Shared,
+        frames: &mut Frames<'_, Frame>,
+        scratch: &mut CanonScratch,
+    ) {
+        let mut c = shared.heap.canonicalizer(scratch);
+        c.root(shared.head);
+        c.root(shared.tail);
         for f in frames.iter() {
-            frame_ptrs(f, &mut |p| roots.push(p));
+            frame_ptrs(f, &mut |p| c.root(p));
         }
-        let ren = shared.heap.canonicalize(&roots);
+        let ren = c.finish();
         shared.head = ren.apply(shared.head);
         shared.tail = ren.apply(shared.tail);
         for f in frames.iter_mut() {

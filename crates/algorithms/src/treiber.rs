@@ -14,7 +14,10 @@
 
 use crate::list_node::ListNode;
 use bb_lts::ThreadId;
-use bb_sim::{Footprint, Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr, Value, EMPTY};
+use bb_sim::{
+    CanonScratch, Footprint, Frames, Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr,
+    Value, EMPTY,
+};
 
 /// The Treiber stack over a finite push-value domain.
 #[derive(Debug, Clone)]
@@ -223,27 +226,33 @@ impl ObjectAlgorithm for Treiber {
         }
     }
 
-    fn canonicalize(&self, shared: &mut Shared, frames: &mut [&mut Frame]) {
-        let mut roots = vec![shared.top];
+    fn canonicalize(
+        &self,
+        shared: &mut Shared,
+        frames: &mut Frames<'_, Frame>,
+        scratch: &mut CanonScratch,
+    ) {
+        let mut c = shared.heap.canonicalizer(scratch);
+        c.root(shared.top);
         for f in frames.iter() {
-            match &**f {
-                Frame::PushRead { node } => roots.push(*node),
+            match f {
+                Frame::PushRead { node } => c.root(*node),
                 Frame::PushCas { node, t } => {
-                    roots.push(*node);
-                    roots.push(*t);
+                    c.root(*node);
+                    c.root(*t);
                 }
-                Frame::PopNext { t } => roots.push(*t),
+                Frame::PopNext { t } => c.root(*t),
                 Frame::PopCas { t, n } => {
-                    roots.push(*t);
-                    roots.push(*n);
+                    c.root(*t);
+                    c.root(*n);
                 }
                 _ => {}
             }
         }
-        let ren = shared.heap.canonicalize(&roots);
+        let ren = c.finish();
         shared.top = ren.apply(shared.top);
         for f in frames.iter_mut() {
-            match &mut **f {
+            match f {
                 Frame::PushRead { node } => *node = ren.apply(*node),
                 Frame::PushCas { node, t } => {
                     *node = ren.apply(*node);

@@ -17,7 +17,8 @@
 use crate::list_node::ListNode;
 use bb_lts::ThreadId;
 use bb_sim::{
-    Footprint, Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr, ThreadPerm, Value, EMPTY,
+    CanonScratch, Footprint, Frames, Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr,
+    ThreadPerm, Value, EMPTY,
 };
 
 /// Treiber stack + hazard pointers for a fixed number of threads.
@@ -325,23 +326,36 @@ impl ObjectAlgorithm for TreiberHp {
         }
     }
 
-    fn rename_threads(&self, shared: &mut Shared, _frames: &mut [&mut Frame], perm: &ThreadPerm) {
+    fn rename_threads(
+        &self,
+        shared: &mut Shared,
+        _frames: &mut Frames<'_, Frame>,
+        perm: &ThreadPerm,
+    ) {
         // Per-thread slots travel with their owner; every cross-thread use
         // is slot-symmetric (`scan` treats `hp` as a set).
         perm.apply_vec(&mut shared.hp);
         perm.apply_vec(&mut shared.rlist);
     }
 
-    fn canonicalize(&self, shared: &mut Shared, frames: &mut [&mut Frame]) {
-        let mut roots = vec![shared.top];
-        roots.extend(shared.hp.iter().copied());
-        for r in &shared.rlist {
-            roots.extend(r.iter().copied());
+    fn canonicalize(
+        &self,
+        shared: &mut Shared,
+        frames: &mut Frames<'_, Frame>,
+        scratch: &mut CanonScratch,
+    ) {
+        let mut c = shared.heap.canonicalizer(scratch);
+        c.root(shared.top);
+        for &p in &shared.hp {
+            c.root(p);
+        }
+        for &p in shared.rlist.iter().flatten() {
+            c.root(p);
         }
         for f in frames.iter() {
-            visit(f, &mut |p| roots.push(p));
+            visit(f, &mut |p| c.root(p));
         }
-        let ren = shared.heap.canonicalize(&roots);
+        let ren = c.finish();
         shared.top = ren.apply(shared.top);
         for h in &mut shared.hp {
             *h = ren.apply(*h);

@@ -18,7 +18,9 @@
 
 use crate::list_node::ListNode;
 use bb_lts::ThreadId;
-use bb_sim::{Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr, Value, EMPTY};
+use bb_sim::{
+    CanonScratch, Frames, Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr, Value, EMPTY,
+};
 
 /// Treiber stack + the waiting hazard-pointer reclamation of Fu et al.
 #[derive(Debug, Clone)]
@@ -299,13 +301,21 @@ impl ObjectAlgorithm for TreiberHpFu {
         }
     }
 
-    fn canonicalize(&self, shared: &mut Shared, frames: &mut [&mut Frame]) {
-        let mut roots = vec![shared.top];
-        roots.extend(shared.hp.iter().copied());
-        for f in frames.iter() {
-            visit(f, &mut |p| roots.push(p));
+    fn canonicalize(
+        &self,
+        shared: &mut Shared,
+        frames: &mut Frames<'_, Frame>,
+        scratch: &mut CanonScratch,
+    ) {
+        let mut c = shared.heap.canonicalizer(scratch);
+        c.root(shared.top);
+        for &p in &shared.hp {
+            c.root(p);
         }
-        let ren = shared.heap.canonicalize(&roots);
+        for f in frames.iter() {
+            visit(f, &mut |p| c.root(p));
+        }
+        let ren = c.finish();
         shared.top = ren.apply(shared.top);
         for h in &mut shared.hp {
             *h = ren.apply(*h);

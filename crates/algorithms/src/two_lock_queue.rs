@@ -9,7 +9,9 @@
 
 use crate::list_node::ListNode;
 use bb_lts::ThreadId;
-use bb_sim::{Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr, Value, EMPTY};
+use bb_sim::{
+    CanonScratch, Frames, Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr, Value, EMPTY,
+};
 
 /// The two-lock queue over a finite enqueue-value domain.
 #[derive(Debug, Clone)]
@@ -239,22 +241,29 @@ impl ObjectAlgorithm for TwoLockQueue {
         }
     }
 
-    fn canonicalize(&self, shared: &mut Shared, frames: &mut [&mut Frame]) {
-        let mut roots = vec![shared.head, shared.tail];
+    fn canonicalize(
+        &self,
+        shared: &mut Shared,
+        frames: &mut Frames<'_, Frame>,
+        scratch: &mut CanonScratch,
+    ) {
+        let mut c = shared.heap.canonicalizer(scratch);
+        c.root(shared.head);
+        c.root(shared.tail);
         for f in frames.iter() {
-            match &**f {
+            match f {
                 Frame::EnqLock { node } | Frame::EnqLink { node } | Frame::EnqSwing { node } => {
-                    roots.push(*node)
+                    c.root(*node)
                 }
-                Frame::DeqAdvance { next, .. } => roots.push(*next),
+                Frame::DeqAdvance { next, .. } => c.root(*next),
                 _ => {}
             }
         }
-        let ren = shared.heap.canonicalize(&roots);
+        let ren = c.finish();
         shared.head = ren.apply(shared.head);
         shared.tail = ren.apply(shared.tail);
         for f in frames.iter_mut() {
-            match &mut **f {
+            match f {
                 Frame::EnqLock { node } | Frame::EnqLink { node } | Frame::EnqSwing { node } => {
                     *node = ren.apply(*node)
                 }

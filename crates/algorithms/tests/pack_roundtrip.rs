@@ -1,5 +1,6 @@
 //! Roster-wide encoding contract: every algorithm's canonical bit-packed
-//! state encoding must round-trip exactly (`decode(encode(s)) == s`),
+//! state encoding must round-trip exactly (`decode(encode(s)) == s`, also
+//! when decoded in place into a reused state),
 //! re-encode deterministically, and drive the compact exploration engine to
 //! the byte-identical `.aut` the rich-struct oracle produces.
 
@@ -36,6 +37,9 @@ fn assert_roundtrip<A: ObjectAlgorithm>(alg: &A, bound: Bound) -> usize {
     let mut seen: HashSet<Vec<u8>> = HashSet::new();
     let mut frontier = vec![Semantics::initial_state(&system)];
     let (mut buf, mut buf2) = (Vec::new(), Vec::new());
+    // One buffer decoded into again and again, as the exploration engine
+    // does with its frontier: in-place decoding must leave nothing stale.
+    let mut reused = Semantics::initial_state(&system);
     while let Some(st) = frontier.pop() {
         buf.clear();
         system.encode_state(&st, &mut buf);
@@ -44,6 +48,8 @@ fn assert_roundtrip<A: ObjectAlgorithm>(alg: &A, bound: Bound) -> usize {
         }
         let back = system.decode_state(&buf);
         assert_eq!(back, st, "{}: decode(encode(s)) != s", alg.name());
+        system.decode_state_into(&buf, &mut reused);
+        assert_eq!(reused, st, "{}: decode_state_into differs", alg.name());
         buf2.clear();
         system.encode_state(&back, &mut buf2);
         assert_eq!(buf, buf2, "{}: re-encoding is not deterministic", alg.name());

@@ -305,7 +305,7 @@ mod tests {
     fn tau(b: &mut LtsBuilder) -> ActionId {
         b.intern_action(Action::tau(ThreadId(1)))
     }
-    fn vis(b: &mut LtsBuilder, name: &str) -> ActionId {
+    fn vis(b: &mut LtsBuilder, name: &'static str) -> ActionId {
         b.intern_action(Action::call(ThreadId(1), name, None))
     }
 

@@ -1927,7 +1927,7 @@ mod tests {
     fn tau(b: &mut LtsBuilder) -> bb_lts::ActionId {
         b.intern_action(Action::tau(ThreadId(1)))
     }
-    fn vis(b: &mut LtsBuilder, name: &str) -> bb_lts::ActionId {
+    fn vis(b: &mut LtsBuilder, name: &'static str) -> bb_lts::ActionId {
         b.intern_action(Action::call(ThreadId(1), name, None))
     }
 

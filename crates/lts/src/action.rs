@@ -8,7 +8,11 @@
 //! source tag (e.g. the program line `L28`) on `τ` actions so diagnostics can
 //! be rendered the way the paper prints them (Figures 6, 7, 9).
 
+use crate::hash::WordHasher;
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault};
 
 /// Identifier of a thread of the most general client.
 ///
@@ -38,6 +42,12 @@ pub enum ActionKind {
 /// Two actions are *observationally equal* when [`Action::observation`]
 /// returns equal values; `τ` actions all observe as `None` regardless of the
 /// thread and tag carried for diagnostics.
+///
+/// The method name and tag are [`Cow`] strings: the simulator's names are
+/// `&'static str` and are borrowed, so building an action allocates nothing,
+/// while `.aut` import and snapshots hold owned copies. Equality, ordering,
+/// hashing and `Display` look only at the string content, never at whether
+/// it is borrowed or owned.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Action {
     /// Whether this is a call, return or internal action.
@@ -45,11 +55,11 @@ pub struct Action {
     /// The thread performing the action.
     pub thread: ThreadId,
     /// Method name for call/return actions; `None` for `τ`.
-    pub method: Option<Box<str>>,
+    pub method: Option<Cow<'static, str>>,
     /// Call argument or return value, if any.
     pub value: Option<i64>,
     /// Free-form diagnostic tag, e.g. the source line (`"L28"`) of a `τ` step.
-    pub tag: Option<Box<str>>,
+    pub tag: Option<Cow<'static, str>>,
 }
 
 /// The observable content of a visible action.
@@ -63,14 +73,15 @@ pub struct Observation {
     /// The thread performing the action.
     pub thread: ThreadId,
     /// Method name.
-    pub method: Box<str>,
+    pub method: Cow<'static, str>,
     /// Call argument or return value, if any.
     pub value: Option<i64>,
 }
 
 impl Action {
-    /// Creates a call action `(t, call, m(arg))`.
-    pub fn call(thread: ThreadId, method: &str, arg: Option<i64>) -> Self {
+    /// Creates a call action `(t, call, m(arg))`. A `&'static str` name is
+    /// borrowed; pass a `String` for a name built at run time.
+    pub fn call(thread: ThreadId, method: impl Into<Cow<'static, str>>, arg: Option<i64>) -> Self {
         Action {
             kind: ActionKind::Call,
             thread,
@@ -81,7 +92,7 @@ impl Action {
     }
 
     /// Creates a return action `(t, ret(val), m)`.
-    pub fn ret(thread: ThreadId, method: &str, val: Option<i64>) -> Self {
+    pub fn ret(thread: ThreadId, method: impl Into<Cow<'static, str>>, val: Option<i64>) -> Self {
         Action {
             kind: ActionKind::Ret,
             thread,
@@ -104,7 +115,7 @@ impl Action {
 
     /// Creates an internal action `(t, τ)` tagged with a diagnostic label
     /// such as the source line of the statement it models.
-    pub fn tau_tagged(thread: ThreadId, tag: &str) -> Self {
+    pub fn tau_tagged(thread: ThreadId, tag: impl Into<Cow<'static, str>>) -> Self {
         Action {
             kind: ActionKind::Tau,
             thread,
@@ -186,6 +197,41 @@ impl fmt::Display for Observation {
     }
 }
 
+/// Interned action labels: dense [`ActionId`]s in first-seen order, so the
+/// numbering is a pure function of the insertion sequence and never of the
+/// hasher `H`. Exploration interns the simulator's own labels with the cheap
+/// [`WordHasher`] (the default); builders that may take labels from outside
+/// the program (`.aut` import) keep std's collision-resistant `RandomState`.
+#[derive(Debug, Default)]
+pub(crate) struct ActionTable<H = BuildHasherDefault<WordHasher>> {
+    actions: Vec<Action>,
+    ids: HashMap<Action, ActionId, H>,
+}
+
+impl<H: BuildHasher> ActionTable<H> {
+    /// Interns `action`, returning its id (stable across repeated calls).
+    #[inline]
+    pub(crate) fn intern(&mut self, action: Action) -> ActionId {
+        if let Some(&id) = self.ids.get(&action) {
+            return id;
+        }
+        let id = ActionId(self.actions.len() as u32);
+        self.actions.push(action.clone());
+        self.ids.insert(action, id);
+        id
+    }
+
+    /// Number of distinct actions interned so far.
+    pub(crate) fn len(&self) -> usize {
+        self.actions.len()
+    }
+
+    /// The interned actions, indexable by [`ActionId`].
+    pub(crate) fn into_actions(self) -> Vec<Action> {
+        self.actions
+    }
+}
+
 /// Index of an interned [`Action`] within an [`Lts`](crate::Lts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActionId(pub u32);
@@ -229,6 +275,68 @@ mod tests {
         assert!(Action::call(ThreadId(1), "m", None).is_visible());
         assert!(Action::ret(ThreadId(1), "m", None).is_visible());
         assert!(!Action::tau(ThreadId(1)).is_visible());
+    }
+
+    /// Equality, ordering, hashing (under both the std and the interner's
+    /// hasher) and `Display` see only the string content: a borrowed
+    /// `&'static str` label and an owned copy are the same action.
+    #[test]
+    fn borrowed_and_owned_labels_are_the_same_action() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+
+        fn hashes(a: &Action) -> (u64, u64) {
+            let mut std = DefaultHasher::new();
+            a.hash(&mut std);
+            let mut fx = WordHasher::default();
+            a.hash(&mut fx);
+            (std.finish(), fx.finish())
+        }
+
+        let pairs = [
+            (
+                Action::call(ThreadId(1), "push", Some(2)),
+                Action::call(ThreadId(1), String::from("push"), Some(2)),
+            ),
+            (
+                Action::ret(ThreadId(2), "pop", None),
+                Action::ret(ThreadId(2), "pop".to_owned(), None),
+            ),
+            (
+                Action::tau_tagged(ThreadId(3), "L28"),
+                Action::tau_tagged(ThreadId(3), "L28".to_owned()),
+            ),
+        ];
+        for (borrowed, owned) in &pairs {
+            let label = |a: &Action| a.method.clone().or(a.tag.clone());
+            assert!(matches!(label(borrowed), Some(Cow::Borrowed(_))));
+            assert!(matches!(label(owned), Some(Cow::Owned(_))));
+            assert_eq!(borrowed, owned);
+            assert_eq!(borrowed.cmp(owned), std::cmp::Ordering::Equal);
+            assert_eq!(hashes(borrowed), hashes(owned));
+            assert_eq!(borrowed.to_string(), owned.to_string());
+            assert_eq!(borrowed.observation(), owned.observation());
+        }
+        // Ordering between different labels does not depend on ownership
+        // either.
+        let (a, b) = (
+            Action::call(ThreadId(1), "pop", None),
+            Action::call(ThreadId(1), "push".to_owned(), None),
+        );
+        assert!(a < b);
+        let (c, d) = (
+            Action::call(ThreadId(1), "pop".to_owned(), None),
+            Action::call(ThreadId(1), "push", None),
+        );
+        assert!(c < d);
+
+        // The interner maps both forms to one id.
+        let mut table: ActionTable = ActionTable::default();
+        for (borrowed, owned) in pairs {
+            let id = table.intern(borrowed);
+            assert_eq!(table.intern(owned), id);
+        }
+        assert_eq!(table.len(), 3);
     }
 
     #[test]

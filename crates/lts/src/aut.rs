@@ -189,7 +189,7 @@ fn parse_label(label: &str) -> Action {
         let mut parts = rest.splitn(2, " !");
         let thread: u8 = parts.next().and_then(|t| t.parse().ok()).unwrap_or(0);
         return match parts.next() {
-            Some(tag) => Action::tau_tagged(ThreadId(thread), tag),
+            Some(tag) => Action::tau_tagged(ThreadId(thread), tag.to_owned()),
             None => Action::tau(ThreadId(thread)),
         };
     }
@@ -198,7 +198,7 @@ fn parse_label(label: &str) -> Action {
         return parsed;
     }
     // Foreign label: keep it as a call action of pseudo-thread 0.
-    Action::call(ThreadId(0), label, None)
+    Action::call(ThreadId(0), label.to_owned(), None)
 }
 
 fn parse_visible(label: &str) -> Option<Action> {
@@ -211,19 +211,23 @@ fn parse_visible(label: &str) -> Option<Action> {
         if let Some(open) = call.find('(') {
             let close = call.rfind(')')?;
             let v: i64 = call[open + 1..close].parse().ok()?;
-            Some(Action::call(ThreadId(thread), &call[..open], Some(v)))
+            Some(Action::call(
+                ThreadId(thread),
+                call[..open].to_owned(),
+                Some(v),
+            ))
         } else {
-            Some(Action::call(ThreadId(thread), call, None))
+            Some(Action::call(ThreadId(thread), call.to_owned(), None))
         }
     } else if let Some(ret) = rest.strip_prefix("ret") {
         if let Some(ret) = ret.strip_prefix('(') {
             let close = ret.find(')')?;
             let v: i64 = ret[..close].parse().ok()?;
             let method = ret[close + 1..].strip_prefix('.')?;
-            Some(Action::ret(ThreadId(thread), method, Some(v)))
+            Some(Action::ret(ThreadId(thread), method.to_owned(), Some(v)))
         } else {
             let method = ret.strip_prefix('.')?;
-            Some(Action::ret(ThreadId(thread), method, None))
+            Some(Action::ret(ThreadId(thread), method.to_owned(), None))
         }
     } else {
         None

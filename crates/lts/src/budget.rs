@@ -92,6 +92,10 @@ pub enum ExhaustReason {
     Memory,
     /// The cancellation token was tripped.
     Cancelled,
+    /// A state-store segment spilled to the `--spill` tier could not be
+    /// reloaded intact (read error, or length/checksum mismatch). The
+    /// exploration stops rather than trust the bytes.
+    SpillFault,
 }
 
 impl fmt::Display for ExhaustReason {
@@ -102,6 +106,7 @@ impl fmt::Display for ExhaustReason {
             ExhaustReason::TransitionCap => "transition cap reached",
             ExhaustReason::Memory => "memory cap reached",
             ExhaustReason::Cancelled => "cancelled",
+            ExhaustReason::SpillFault => "spilled segment unreadable",
         })
     }
 }

@@ -27,6 +27,7 @@
 
 use crate::budget::Meter;
 use crate::explore::Semantics;
+use crate::hash::word_hash;
 use crate::lts::StateId;
 use std::hash::{Hash, Hasher};
 use std::io;
@@ -35,23 +36,37 @@ use std::io;
 /// contract of the compact exploration engine
 /// ([`crate::explore_compact`]).
 ///
-/// `decode_state` must be a left inverse of `encode_state`
-/// (`decode(encode(s)) == s`), and `encode_state` must be deterministic and
-/// injective on reachable states: the engine hashes, stores and compares
-/// the encoding *instead of* the rich state, so two states are identified
-/// exactly when their encodings are byte-equal.
+/// `decode_state_into` must be a left inverse of `encode_state` (decoding
+/// `encode(s)` into any state yields `s`), and `encode_state` must be
+/// deterministic and injective on reachable states: the engine hashes,
+/// stores and compares the encoding *instead of* the rich state, so two
+/// states are identified exactly when their encodings are byte-equal.
 pub trait CodecSemantics: Semantics {
     /// Appends the canonical encoding of `state` to `out` (which is cleared
     /// by the caller).
     fn encode_state(&self, state: &Self::State, out: &mut Vec<u8>);
 
-    /// Reconstructs a state from its canonical encoding.
+    /// Reconstructs a state from its canonical encoding into `state`,
+    /// overwriting it; implementations may keep its allocations (the engine
+    /// decodes every frontier state into one buffer).
     ///
     /// # Panics
     ///
     /// May panic on bytes not produced by `encode_state` — the store only
     /// ever feeds back its own entries.
-    fn decode_state(&self, bytes: &[u8]) -> Self::State;
+    fn decode_state_into(&self, bytes: &[u8], state: &mut Self::State);
+
+    /// [`decode_state_into`](CodecSemantics::decode_state_into) a fresh
+    /// state.
+    ///
+    /// # Panics
+    ///
+    /// As [`decode_state_into`](CodecSemantics::decode_state_into).
+    fn decode_state(&self, bytes: &[u8]) -> Self::State {
+        let mut state = self.initial_state();
+        self.decode_state_into(bytes, &mut state);
+        state
+    }
 
     /// Owned heap bytes of the rich state *beyond* the struct itself
     /// (vectors, boxed nodes…), used by the metered baseline so memory
@@ -68,7 +83,11 @@ pub trait CodecSemantics: Semantics {
 ///
 /// Implementations are stateless from the store's point of view (`&self`
 /// methods) and shareable across threads. `read_segment`
-/// must return exactly the bytes passed to the matching `write_segment`.
+/// must return exactly the bytes passed to the matching `write_segment`;
+/// the store checks the length and a checksum of every reload, and a
+/// failed or altered reload ends the exploration with
+/// [`ExhaustReason::SpillFault`](crate::budget::ExhaustReason::SpillFault)
+/// instead of trusting the bytes.
 pub trait SpillBackend: Send + Sync {
     /// Persists segment `index`. An error disables spilling for the rest of
     /// the exploration (the store keeps the segment in core).
@@ -92,15 +111,22 @@ pub struct StoreMetrics {
     pub spilled_bytes: u64,
 }
 
+/// A spilled segment that could not be reloaded intact: the spill tier
+/// returned an error, or bytes whose length or checksum differ from what
+/// was written. The store refuses every later call once this happens.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SpillFault;
+
 /// The engine-facing seen-set + frontier abstraction: states are stored
 /// exactly once, ids are dense and assigned in intern order, and the BFS
-/// frontier is just an id range read back through [`StateStore::read`].
+/// frontier is just an id range read back through [`StateStore::read_into`].
 pub(crate) trait StateStore<S: Semantics> {
     /// Interns `state`, returning its id and whether it was new.
-    fn intern(&mut self, sem: &S, state: S::State) -> (StateId, bool);
+    fn intern(&mut self, sem: &S, state: S::State) -> Result<(StateId, bool), SpillFault>;
 
-    /// Reconstructs the state with id `idx` (must be interned).
-    fn read(&mut self, sem: &S, idx: u32) -> S::State;
+    /// Reconstructs the state with id `idx` (must be interned) into
+    /// `state`.
+    fn read_into(&mut self, sem: &S, idx: u32, state: &mut S::State) -> Result<(), SpillFault>;
 
     /// Number of interned states.
     fn len(&self) -> usize;
@@ -118,6 +144,12 @@ pub(crate) trait StateStore<S: Semantics> {
 
     /// Compression/spill figures for reports.
     fn metrics(&self) -> StoreMetrics;
+
+    /// Stored entries decoded by intern probes that found their state
+    /// already present (the restart-group replay cost of a hit).
+    fn probe_replayed(&self) -> u64 {
+        0
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -231,7 +263,7 @@ impl<S: Semantics> HashStore<S> {
 }
 
 impl<S: Semantics> StateStore<S> for HashStore<S> {
-    fn intern(&mut self, sem: &S, state: S::State) -> (StateId, bool) {
+    fn intern(&mut self, sem: &S, state: S::State) -> Result<(StateId, bool), SpillFault> {
         // DefaultHasher::new() uses fixed keys, so tags — and therefore
         // index layouts and probe statistics — are stable across runs.
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -253,11 +285,12 @@ impl<S: Semantics> StateStore<S> for HashStore<S> {
                 self.peak = b;
             }
         }
-        (StateId(id), fresh)
+        Ok((StateId(id), fresh))
     }
 
-    fn read(&mut self, _sem: &S, idx: u32) -> S::State {
-        self.states[idx as usize].clone()
+    fn read_into(&mut self, _sem: &S, idx: u32, state: &mut S::State) -> Result<(), SpillFault> {
+        state.clone_from(&self.states[idx as usize]);
+        Ok(())
     }
 
     fn len(&self) -> usize {
@@ -300,10 +333,10 @@ const SEG_TARGET: usize = 256 * 1024;
 const RESTART_INTERVAL: u32 = 16;
 
 /// One arena segment: in core, or resident on the spill tier (payload
-/// length retained for accounting).
+/// length and checksum retained to validate the reload).
 enum Segment {
     Loaded(Vec<u8>),
-    Spilled,
+    Spilled { len: usize, sum: u64 },
 }
 
 /// Start of a prefix-compression group: entry `first_idx` is stored with a
@@ -325,6 +358,8 @@ pub(crate) struct ScanCursor {
     off: usize,
     buf: Vec<u8>,
     cache: Option<(u32, Vec<u8>)>,
+    /// Entries decoded so far (sequential steps and restart replays).
+    decoded: u64,
 }
 
 impl Default for ScanCursor {
@@ -335,6 +370,7 @@ impl Default for ScanCursor {
             off: 0,
             buf: Vec::new(),
             cache: None,
+            decoded: 0,
         }
     }
 }
@@ -365,6 +401,10 @@ pub(crate) struct ArenaStore<'s> {
     spilled_bytes: u64,
     spill: Option<&'s dyn SpillBackend>,
     spill_broken: bool,
+    /// Set by the first failed reload; every later call reports it.
+    fault: Option<SpillFault>,
+    /// Entries replayed by probes that hit (see [`StateStore::probe_replayed`]).
+    hit_replayed: u64,
 }
 
 impl<'s> ArenaStore<'s> {
@@ -391,6 +431,8 @@ impl<'s> ArenaStore<'s> {
             spilled_bytes: 0,
             spill,
             spill_broken: false,
+            fault: None,
+            hit_replayed: 0,
         }
     }
 
@@ -459,21 +501,41 @@ impl<'s> ArenaStore<'s> {
 }
 
 impl<S: CodecSemantics> StateStore<S> for ArenaStore<'_> {
-    fn intern(&mut self, sem: &S, state: S::State) -> (StateId, bool) {
+    fn intern(&mut self, sem: &S, state: S::State) -> Result<(StateId, bool), SpillFault> {
+        if let Some(fault) = self.fault {
+            return Err(fault);
+        }
         let mut key = std::mem::take(&mut self.scratch);
         key.clear();
         sem.encode_state(&state, &mut key);
-        let tag = (fnv1a64(&key) >> 32) as u32;
+        let tag = (word_hash(&key) >> 32) as u32;
         let new_id = self.len;
-        let (segments, restarts, spill, probe_cur) = (
+        let decoded_before = self.probe_cur.decoded;
+        let (segments, restarts, spill, probe_cur, fault) = (
             &self.segments,
             &self.restarts,
             self.spill,
             &mut self.probe_cur,
+            &mut self.fault,
         );
         let (id, fresh, probes) = self.index.probe_insert(tag, new_id, |cand| {
-            entry_for(segments, restarts, spill, probe_cur, cand) == &key[..]
+            if fault.is_some() {
+                return false;
+            }
+            match entry_for(segments, restarts, spill, probe_cur, cand) {
+                Ok(entry) => entry == &key[..],
+                Err(f) => {
+                    *fault = Some(f);
+                    false
+                }
+            }
         });
+        if let Some(fault) = self.fault {
+            // The probe could not compare against a spilled entry, so
+            // `fresh` is untrustworthy; the store is poisoned from here on.
+            self.scratch = key;
+            return Err(fault);
+        }
         bb_obs::hot::SEEN_PROBE_LEN.record(u64::from(probes));
         if fresh {
             self.append(&key);
@@ -484,19 +546,33 @@ impl<S: CodecSemantics> StateStore<S> for ArenaStore<'_> {
             if b > self.peak {
                 self.peak = b;
             }
+        } else {
+            self.hit_replayed += self.probe_cur.decoded - decoded_before;
         }
         self.scratch = key;
-        (StateId(id), fresh)
+        Ok((StateId(id), fresh))
     }
 
-    fn read(&mut self, sem: &S, idx: u32) -> S::State {
-        sem.decode_state(entry_for(
+    fn read_into(&mut self, sem: &S, idx: u32, state: &mut S::State) -> Result<(), SpillFault> {
+        if let Some(fault) = self.fault {
+            return Err(fault);
+        }
+        match entry_for(
             &self.segments,
             &self.restarts,
             self.spill,
             &mut self.read_cur,
             idx,
-        ))
+        ) {
+            Ok(entry) => {
+                sem.decode_state_into(entry, state);
+                Ok(())
+            }
+            Err(fault) => {
+                self.fault = Some(fault);
+                Err(fault)
+            }
+        }
     }
 
     fn len(&self) -> usize {
@@ -533,24 +609,22 @@ impl<S: CodecSemantics> StateStore<S> for ArenaStore<'_> {
             if !matches!(self.segments[seg], Segment::Loaded(_)) {
                 continue;
             }
-            let Segment::Loaded(payload) =
-                std::mem::replace(&mut self.segments[seg], Segment::Spilled)
-            else {
+            let Segment::Loaded(payload) = &self.segments[seg] else {
                 unreachable!()
             };
-            match backend.write_segment(seg as u32, &payload) {
+            match backend.write_segment(seg as u32, payload) {
                 Ok(()) => {
+                    let (len, sum) = (payload.len(), word_hash(payload));
                     self.loaded_bytes -= payload.capacity();
                     self.spilled_segments += 1;
-                    self.spilled_bytes += payload.len() as u64;
+                    self.spilled_bytes += len as u64;
                     bb_obs::hot::SPILL_SEGMENTS.incr();
-                    bb_obs::hot::SPILL_BYTES.add(payload.len() as u64);
-                    self.segments[seg] = Segment::Spilled;
+                    bb_obs::hot::SPILL_BYTES.add(len as u64);
+                    self.segments[seg] = Segment::Spilled { len, sum };
                 }
                 Err(_) => {
                     // Keep the segment in core and stop spilling: the run
                     // degrades to in-core behavior instead of failing.
-                    self.segments[seg] = Segment::Loaded(payload);
                     self.spill_broken = true;
                     return;
                 }
@@ -565,6 +639,10 @@ impl<S: CodecSemantics> StateStore<S> for ArenaStore<'_> {
             spilled_segments: self.spilled_segments,
             spilled_bytes: self.spilled_bytes,
         }
+    }
+
+    fn probe_replayed(&self) -> u64 {
+        self.hit_replayed
     }
 }
 
@@ -582,14 +660,15 @@ fn restart_for(restarts: &[Restart], idx: u32) -> Restart {
 /// Sequential scans (the BFS frontier) continue from the cursor's position;
 /// anything else repositions at the governing restart and decodes at most
 /// [`RESTART_INTERVAL`] entries. Spilled segments are reloaded through the
-/// cursor's one-segment cache.
+/// cursor's one-segment cache; a reload that fails or does not match what
+/// was written is a [`SpillFault`].
 fn entry_for<'a>(
     segments: &[Segment],
     restarts: &[Restart],
     spill: Option<&dyn SpillBackend>,
     cur: &'a mut ScanCursor,
     idx: u32,
-) -> &'a [u8] {
+) -> Result<&'a [u8], SpillFault> {
     if cur.next_idx != idx {
         let r = restart_for(restarts, idx);
         cur.next_idx = r.first_idx;
@@ -598,7 +677,7 @@ fn entry_for<'a>(
         cur.buf.clear();
     }
     loop {
-        let payload = seg_payload(segments, spill, cur.seg, &mut cur.cache);
+        let payload = seg_payload(segments, spill, cur.seg, &mut cur.cache)?;
         if cur.off == payload.len() {
             // Segment exhausted: the next entry opened a new segment (and a
             // new restart group) at offset 0.
@@ -614,32 +693,36 @@ fn entry_for<'a>(
         cur.buf.extend_from_slice(&payload[start..start + suffix]);
         cur.off = start + suffix;
         cur.next_idx += 1;
+        cur.decoded += 1;
         if cur.next_idx > idx {
-            return &cur.buf;
+            return Ok(&cur.buf);
         }
     }
 }
 
 /// The payload of `seg`: a direct borrow when loaded, the cursor's cached
-/// reload when spilled.
+/// reload when spilled. A reload is accepted only if it has the length and
+/// checksum recorded when the segment was spilled.
 fn seg_payload<'a>(
     segments: &'a [Segment],
     spill: Option<&dyn SpillBackend>,
     seg: u32,
     cache: &'a mut Option<(u32, Vec<u8>)>,
-) -> &'a [u8] {
+) -> Result<&'a [u8], SpillFault> {
     match &segments[seg as usize] {
-        Segment::Loaded(v) => v,
-        Segment::Spilled => {
+        Segment::Loaded(v) => Ok(v),
+        &Segment::Spilled { len, sum } => {
             if cache.as_ref().is_none_or(|(s, _)| *s != seg) {
                 let backend = spill.expect("spilled segment without a spill backend");
                 let payload = backend
                     .read_segment(seg)
-                    .unwrap_or_else(|e| panic!("failed to reload spilled segment {seg}: {e}"));
+                    .ok()
+                    .filter(|p| p.len() == len && word_hash(p) == sum)
+                    .ok_or(SpillFault)?;
                 bb_obs::hot::SPILL_RELOADS.incr();
                 *cache = Some((seg, payload));
             }
-            &cache.as_ref().expect("cache populated above").1
+            Ok(&cache.as_ref().expect("cache populated above").1)
         }
     }
 }
@@ -680,17 +763,6 @@ fn get_varint(bytes: &[u8]) -> (u64, usize) {
     panic!("truncated varint in arena segment")
 }
 
-/// FNV-1a over the canonical encoding — the content hash routing index
-/// probes. Deterministic by construction.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -729,11 +801,11 @@ mod tests {
             out.extend_from_slice(&state.1.to_be_bytes());
         }
 
-        fn decode_state(&self, bytes: &[u8]) -> (u32, u32) {
+        fn decode_state_into(&self, bytes: &[u8], state: &mut (u32, u32)) {
             assert_eq!(bytes.len(), 8, "grid encoding is 8 bytes");
             let x = u32::from_be_bytes(bytes[0..4].try_into().unwrap());
             let y = u32::from_be_bytes(bytes[4..8].try_into().unwrap());
-            (x, y)
+            *state = (x, y);
         }
     }
 
@@ -763,10 +835,17 @@ mod tests {
         }
     }
 
+    /// Reads entry `idx` back as a fresh state.
+    fn read<S: Semantics, ST: StateStore<S>>(store: &mut ST, sem: &S, idx: u32) -> S::State {
+        let mut state = sem.initial_state();
+        store.read_into(sem, idx, &mut state).unwrap();
+        state
+    }
+
     fn fill(store: &mut ArenaStore<'_>, sem: &Grid, n: u32) -> Vec<StateId> {
         (0..n)
             .map(|i| {
-                let (id, fresh) = store.intern(sem, (i / 7, i % 7));
+                let (id, fresh) = store.intern(sem, (i / 7, i % 7)).unwrap();
                 assert_eq!(fresh, i / 7 * 7 + i % 7 == i, "dedup is exact");
                 id
             })
@@ -780,22 +859,22 @@ mod tests {
         let mut expected = Vec::new();
         for x in 0..40u32 {
             for y in 0..40u32 {
-                let (id, fresh) = store.intern(&sem, (x, y));
+                let (id, fresh) = store.intern(&sem, (x, y)).unwrap();
                 assert!(fresh);
                 assert_eq!(id.index(), expected.len());
                 expected.push((x, y));
             }
         }
         // Duplicate interns resolve to the original ids.
-        let (id, fresh) = store.intern(&sem, (7, 31));
+        let (id, fresh) = store.intern(&sem, (7, 31)).unwrap();
         assert!(!fresh);
         assert_eq!(expected[id.index()], (7, 31));
         // Sequential and random reads reconstruct every state.
         for (i, s) in expected.iter().enumerate() {
-            assert_eq!(store.read(&sem, i as u32), *s);
+            assert_eq!(read(&mut store, &sem, i as u32), *s);
         }
         for i in [1599u32, 0, 800, 31, 1598, 17] {
-            assert_eq!(store.read(&sem, i), expected[i as usize]);
+            assert_eq!(read(&mut store, &sem, i), expected[i as usize]);
         }
         let m = StateStore::<Grid>::metrics(&store);
         assert_eq!(m.raw_bytes, 1600 * 8);
@@ -817,7 +896,7 @@ mod tests {
         let mut expected = Vec::new();
         for x in 0..60u32 {
             for y in 0..60u32 {
-                store.intern(&sem, (x, y));
+                store.intern(&sem, (x, y)).unwrap();
                 expected.push((x, y));
             }
         }
@@ -831,10 +910,10 @@ mod tests {
         assert!(!spill.segments.lock().unwrap().is_empty());
         // Every entry — spilled or loaded — still reads back exactly.
         for (i, s) in expected.iter().enumerate() {
-            assert_eq!(store.read(&sem, i as u32), *s, "entry {i}");
+            assert_eq!(read(&mut store, &sem, i as u32), *s, "entry {i}");
         }
         // Probing a state whose entry is spilled still dedups correctly.
-        let (_, fresh) = store.intern(&sem, (0, 0));
+        let (_, fresh) = store.intern(&sem, (0, 0)).unwrap();
         assert!(!fresh, "spilled entries still answer probes");
         // The frontier's own segment stayed in core.
         let boundary = restart_for(&store.restarts, frontier_start).seg;
@@ -856,7 +935,7 @@ mod tests {
         );
         let mut meter = wd.meter(crate::budget::Stage::Explore);
         for i in 0..2000u32 {
-            store.intern(&sem, (i / 50, i % 50));
+            store.intern(&sem, (i / 50, i % 50)).unwrap();
         }
         meter.add_memory(4000).unwrap();
         StateStore::<Grid>::end_level(&mut store, 1990, &meter);
@@ -864,7 +943,7 @@ mod tests {
         assert_eq!(m.spilled_segments, 0, "failed writes must not spill");
         assert!(store.spill_broken);
         // Everything still reads back from core.
-        assert_eq!(store.read(&sem, 1234), (1234 / 50, 1234 % 50));
+        assert_eq!(read(&mut store, &sem, 1234), (1234 / 50, 1234 % 50));
     }
 
     #[test]
@@ -873,9 +952,9 @@ mod tests {
         let mut store: HashStore<Grid> = HashStore::new(None);
         let _ = fill_hash(&mut store, &sem, 500);
         assert_eq!(StateStore::<Grid>::len(&store), 500);
-        let (id, fresh) = store.intern(&sem, (3, 4));
+        let (id, fresh) = store.intern(&sem, (3, 4)).unwrap();
         assert!(!fresh);
-        assert_eq!(store.read(&sem, id.0), (3, 4));
+        assert_eq!(read(&mut store, &sem, id.0), (3, 4));
         let bytes = StateStore::<Grid>::bytes(&store);
         // One struct copy per state plus 8 index bytes — no key duplication.
         assert!(
@@ -885,7 +964,9 @@ mod tests {
     }
 
     fn fill_hash(store: &mut HashStore<Grid>, sem: &Grid, n: u32) -> Vec<StateId> {
-        (0..n).map(|i| store.intern(sem, (i, i + 1)).0).collect()
+        (0..n)
+            .map(|i| store.intern(sem, (i, i + 1)).unwrap().0)
+            .collect()
     }
 
     #[test]

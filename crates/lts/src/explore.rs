@@ -2,8 +2,10 @@
 
 use crate::action::Action;
 use crate::budget::{Budget, ExhaustReason, Exhausted, Meter, PartialStats, Stage, Watchdog};
-use crate::builder::LtsBuilder;
-use crate::compact::{ArenaStore, CodecSemantics, HashStore, SpillBackend, StateStore, StoreMetrics};
+use crate::builder::CsrAppender;
+use crate::compact::{
+    ArenaStore, CodecSemantics, HashStore, SpillBackend, SpillFault, StateStore, StoreMetrics,
+};
 use crate::jobs::Jobs;
 use crate::lts::{Lts, StateId};
 use std::fmt;
@@ -228,6 +230,10 @@ pub struct ExploreReport {
     /// High-water mark of the state store's in-core bytes (seen set +
     /// frontier + index), excluding transition bookkeeping.
     pub store_bytes_peak: usize,
+    /// Allocated bytes of the LTS's transition arrays (CSR offsets and
+    /// transitions) at the end of the exploration; the meter charges them
+    /// next to the store.
+    pub lts_bytes: usize,
     /// Raw/stored/spilled byte figures of the store.
     pub store: StoreMetrics,
 }
@@ -314,13 +320,16 @@ fn explore_impl<S: Semantics, ST: StateStore<S>>(
 ) -> Result<(Lts, ExploreReport), Exhausted> {
     let span = bb_obs::span("explore");
     let mut meter = wd.meter(Stage::Explore);
-    let result = explore_serial(sem, store, &mut meter);
+    let mut tally = Tally::default();
+    let result = explore_serial(sem, store, &mut meter, &mut tally);
     let stats = meter.stats();
     span.record("states", stats.states);
     span.record("transitions", stats.transitions);
     span.record("mem_bytes", stats.memory_bytes);
     span.record("store_bytes", store.bytes_peak());
+    span.record("lts_bytes", tally.lts_bytes);
     span.record("frontier_peak", bb_obs::hot::EXPLORE_FRONTIER.peak());
+    tally.publish(&span, store.probe_replayed());
     let metrics = store.metrics();
     if let Some(pct) = (metrics.stored_bytes * 100).checked_div(metrics.raw_bytes) {
         bb_obs::hot::COMPACT_COMPRESSION_PCT.set(pct);
@@ -331,6 +340,7 @@ fn explore_impl<S: Semantics, ST: StateStore<S>>(
             ExploreReport {
                 stats,
                 store_bytes_peak: store.bytes_peak(),
+                lts_bytes: tally.lts_bytes,
                 store: metrics,
             },
         )),
@@ -341,8 +351,42 @@ fn explore_impl<S: Semantics, ST: StateStore<S>>(
     }
 }
 
-/// Keeps the meter's memory attribution in lock-step with the state
-/// store's actual footprint: charge growth, release shrink (spill).
+/// Event counts of one exploration. They are plain locals on the hot path
+/// and are published once, when the exploration ends, as fields of the
+/// `explore` span and into the bb-obs counters; the loop itself touches no
+/// atomic for them.
+#[derive(Debug, Default)]
+struct Tally {
+    /// Successor steps generated (every outgoing step, duplicates included).
+    successors: u64,
+    /// Successors whose state was already interned.
+    hits: u64,
+    /// Successors that interned a new state.
+    fresh: u64,
+    /// Distinct actions interned.
+    actions: u64,
+    /// Allocated bytes of the LTS transition arrays.
+    lts_bytes: usize,
+}
+
+impl Tally {
+    fn publish(&self, span: &bb_obs::Span, probe_replayed: u64) {
+        span.record("successors", self.successors);
+        span.record("intern_hits", self.hits);
+        span.record("fresh_states", self.fresh);
+        span.record("probe_replayed", probe_replayed);
+        span.record("actions", self.actions);
+        bb_obs::hot::EXPLORE_SUCCESSORS.add(self.successors);
+        bb_obs::hot::EXPLORE_INTERN_HITS.add(self.hits);
+        bb_obs::hot::EXPLORE_FRESH_STATES.add(self.fresh);
+        bb_obs::hot::EXPLORE_PROBE_REPLAYED.add(probe_replayed);
+        bb_obs::hot::EXPLORE_ACTIONS.add(self.actions);
+    }
+}
+
+/// Keeps the meter's memory attribution in lock-step with one structure's
+/// actual footprint (the state store, the LTS arrays): charge growth,
+/// release shrink (spill).
 #[derive(Default)]
 struct MemSync {
     charged: usize,
@@ -350,7 +394,6 @@ struct MemSync {
 
 impl MemSync {
     fn sync(&mut self, bytes: usize, meter: &mut Meter) -> Result<(), Exhausted> {
-        bb_obs::hot::EXPLORE_STORE_BYTES.set(bytes as u64);
         if bytes >= self.charged {
             let delta = bytes - self.charged;
             self.charged = bytes;
@@ -379,20 +422,39 @@ fn explore_serial<S: Semantics, ST: StateStore<S>>(
     sem: &S,
     store: &mut ST,
     meter: &mut Meter,
+    tally: &mut Tally,
 ) -> Result<Lts, Exhausted> {
-    // Transitions are metered by their builder footprint; states are
-    // metered as the store's actual byte growth (see `MemSync`).
-    let transition_bytes = std::mem::size_of::<(StateId, u32, StateId)>();
+    let mut lts = CsrAppender::new();
+    let result = expand_bfs(sem, store, meter, tally, &mut lts);
+    tally.actions = lts.num_actions() as u64;
+    tally.lts_bytes = lts.bytes();
+    result.map(|()| lts.build(StateId(0)))
+}
 
-    let mut builder = LtsBuilder::new();
-    let mut mem = MemSync::default();
+/// The BFS loop of [`explore_serial`]: expands every interned state in id
+/// order, appending each expansion as the next CSR row of `lts`.
+fn expand_bfs<S: Semantics, ST: StateStore<S>>(
+    sem: &S,
+    store: &mut ST,
+    meter: &mut Meter,
+    tally: &mut Tally,
+    lts: &mut CsrAppender,
+) -> Result<(), Exhausted> {
+    // States are metered as the store's actual byte growth, transitions as
+    // the allocated size of the LTS arrays (see `MemSync`).
+    let mut store_mem = MemSync::default();
+    let mut lts_mem = MemSync::default();
+    let fault = |meter: &Meter, SpillFault| meter.exhausted(ExhaustReason::SpillFault);
 
-    let (init_id, _) = store.intern(sem, sem.initial_state());
+    // The frontier state is decoded into this one buffer, state after
+    // state, so its allocations are reused.
+    let mut state = sem.initial_state();
+    let (init_id, _) = store
+        .intern(sem, state.clone())
+        .map_err(|f| fault(meter, f))?;
     debug_assert_eq!(init_id, StateId(0));
-    let built = builder.add_state();
-    debug_assert_eq!(built, init_id);
     meter.add_state()?;
-    mem.sync(store.bytes(), meter)?;
+    sync_store(&mut store_mem, store.bytes(), meter)?;
 
     // BFS frontier: states are explored in id order, so the queue is just a
     // cursor over the store's dense id range — no second copy of any state.
@@ -408,30 +470,40 @@ fn explore_serial<S: Semantics, ST: StateStore<S>>(
         if cursor == next_level_start {
             next_level_start = store.len();
             store.end_level(cursor as u32, meter);
-            mem.sync(store.bytes(), meter)?;
+            sync_store(&mut store_mem, store.bytes(), meter)?;
         }
-        let src_id = StateId(cursor as u32);
-        let state = store.read(sem, cursor as u32);
+        store
+            .read_into(sem, cursor as u32, &mut state)
+            .map_err(|f| fault(meter, f))?;
         steps.clear();
         sem.successors(&state, &mut steps);
         cursor += 1;
 
         for (action, next) in steps.drain(..) {
-            let (dst_id, fresh) = store.intern(sem, next);
+            tally.successors += 1;
+            let (dst_id, fresh) = store.intern(sem, next).map_err(|f| fault(meter, f))?;
             if fresh {
+                tally.fresh += 1;
                 meter.add_state()?;
-                mem.sync(store.bytes(), meter)?;
-                let id = builder.add_state();
-                debug_assert_eq!(id, dst_id);
+                sync_store(&mut store_mem, store.bytes(), meter)?;
+            } else {
+                tally.hits += 1;
             }
-            let aid = builder.intern_action(action);
-            builder.add_transition(src_id, aid, dst_id);
+            let aid = lts.intern_action(action);
+            lts.push(aid, dst_id);
             meter.add_transition()?;
-            meter.add_memory(transition_bytes)?;
+            // One memory charge per transition, as the flat per-transition
+            // charge had, so `BB_FAULT=alloc-cap:N` counts stay put.
+            lts_mem.sync(lts.bytes(), meter)?;
         }
+        lts.end_row();
     }
+    Ok(())
+}
 
-    Ok(builder.build(StateId(0)))
+fn sync_store(mem: &mut MemSync, bytes: usize, meter: &mut Meter) -> Result<(), Exhausted> {
+    bb_obs::hot::EXPLORE_STORE_BYTES.set(bytes as u64);
+    mem.sync(bytes, meter)
 }
 
 #[cfg(test)]
@@ -588,11 +660,11 @@ mod tests {
             out.extend_from_slice(&s.0.to_be_bytes());
             out.extend_from_slice(&s.1.to_be_bytes());
         }
-        fn decode_state(&self, bytes: &[u8]) -> (u32, u32) {
-            (
+        fn decode_state_into(&self, bytes: &[u8], state: &mut (u32, u32)) {
+            *state = (
                 u32::from_be_bytes(bytes[0..4].try_into().unwrap()),
                 u32::from_be_bytes(bytes[4..8].try_into().unwrap()),
-            )
+            );
         }
     }
 
@@ -676,6 +748,66 @@ mod tests {
         );
     }
 
+    /// How a [`FaultySpill`] betrays the store once a segment is spilled.
+    #[derive(Clone, Copy)]
+    enum Betrayal {
+        /// Every reload fails with an I/O error.
+        ReadError,
+        /// Reloads return the segment with one byte flipped.
+        FlipByte,
+        /// Reloads return the segment one byte short.
+        Truncate,
+    }
+
+    /// A spill tier that accepts writes and then fails or corrupts reads.
+    struct FaultySpill {
+        inner: MemSpill,
+        betrayal: Betrayal,
+    }
+
+    impl SpillBackend for FaultySpill {
+        fn write_segment(&self, index: u32, payload: &[u8]) -> std::io::Result<()> {
+            self.inner.write_segment(index, payload)
+        }
+        fn read_segment(&self, index: u32) -> std::io::Result<Vec<u8>> {
+            let mut bytes = self.inner.read_segment(index)?;
+            match self.betrayal {
+                Betrayal::ReadError => return Err(std::io::Error::other("disk gone")),
+                Betrayal::FlipByte => {
+                    let mid = bytes.len() / 2;
+                    bytes[mid] ^= 0x40;
+                }
+                Betrayal::Truncate => {
+                    bytes.pop();
+                }
+            }
+            Ok(bytes)
+        }
+    }
+
+    /// A failed or altered reload of a spilled segment ends the exploration
+    /// with a structured `SpillFault` exhaustion — no panic, and no LTS built
+    /// from untrusted bytes.
+    #[test]
+    fn spill_reload_faults_are_structured_failures() {
+        let sem = Blob { n: 600, back: true };
+        let (_, unspilled) = explore_compact(&sem, &ExploreOptions::default()).unwrap();
+        let cap = unspilled.stats.memory_bytes / 2;
+        for betrayal in [Betrayal::ReadError, Betrayal::FlipByte, Betrayal::Truncate] {
+            let spill = FaultySpill {
+                inner: MemSpill::default(),
+                betrayal,
+            };
+            let wd = Watchdog::new(Budget::unlimited().with_max_memory_bytes(cap));
+            let mut store = ArenaStore::with_seg_target(Some(&spill), 2048);
+            let err = explore_impl(&sem, &mut store, &wd).unwrap_err();
+            assert_eq!(err.stage, Stage::Explore);
+            assert_eq!(err.reason, ExhaustReason::SpillFault);
+            assert!(err.partial.states > 0 && err.partial.states < 600, "{err}");
+            assert!(!spill.inner.segments.lock().unwrap().is_empty());
+        }
+    }
+
     /// A chain semantics with large, incompressible states: store bytes
     /// dominate, so the metered peak must track the store's real footprint.
     struct Blob {
@@ -716,39 +848,45 @@ mod tests {
             out.extend_from_slice(&s.0.to_be_bytes());
             out.extend_from_slice(&s.1);
         }
-        fn decode_state(&self, bytes: &[u8]) -> Self::State {
-            (
+        fn decode_state_into(&self, bytes: &[u8], state: &mut Self::State) {
+            *state = (
                 u32::from_be_bytes(bytes[0..4].try_into().unwrap()),
                 bytes[4..204].try_into().unwrap(),
-            )
+            );
         }
     }
 
     /// Meter-accounting audit: the reported peak must be within 10% of the
-    /// store's actual allocated bytes (transition bookkeeping is the only
-    /// other charge, and it is small against 200-byte states).
+    /// bytes actually allocated — the store plus the LTS transition arrays,
+    /// the only two charges. The chain with back-edges gives the LTS a
+    /// real share of the total next to the 200-byte states.
     #[test]
     fn metered_peak_tracks_store_bytes_within_ten_percent() {
-        let sem = Blob {
-            n: 2000,
-            back: false,
-        };
-        for compact in [true, false] {
+        for (compact, back) in [(true, false), (false, false), (true, true), (false, true)] {
+            let sem = Blob { n: 2000, back };
             let opts = ExploreOptions::default();
-            let (_, report) = if compact {
+            let (lts, report) = if compact {
                 explore_compact(&sem, &opts).unwrap()
             } else {
                 oracle::explore_rich(&sem, &opts).unwrap()
             };
             let peak = report.stats.memory_bytes;
-            let store = report.store_bytes_peak;
+            let actual = report.store_bytes_peak + report.lts_bytes;
+            let floor = lts.num_transitions() * std::mem::size_of::<crate::Transition>()
+                + (lts.num_states() + 1) * std::mem::size_of::<u32>();
             assert!(
-                peak >= store,
-                "compact={compact}: peak {peak} must cover the store {store}"
+                report.lts_bytes >= floor,
+                "compact={compact} back={back}: LTS bytes {} below the arrays' length {floor}",
+                report.lts_bytes
             );
             assert!(
-                peak <= store + store / 10,
-                "compact={compact}: peak {peak} strays more than 10% from store {store}"
+                peak >= report.store_bytes_peak,
+                "compact={compact} back={back}: peak {peak} must cover the store {}",
+                report.store_bytes_peak
+            );
+            assert!(
+                peak <= actual + actual / 10 && actual <= peak + peak / 10,
+                "compact={compact} back={back}: peak {peak} strays more than 10% from store + LTS {actual}"
             );
         }
     }

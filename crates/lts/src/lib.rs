@@ -32,6 +32,7 @@ mod builder;
 mod compact;
 mod dot;
 mod explore;
+mod hash;
 mod jobs;
 mod lts;
 mod random;

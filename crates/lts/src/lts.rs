@@ -53,8 +53,6 @@ impl Lts {
         adjacency: Vec<Vec<Transition>>,
         initial: StateId,
     ) -> Self {
-        let visible: Vec<bool> = actions.iter().map(Action::is_visible).collect();
-        let num_visible_actions = visible.iter().filter(|v| **v).count();
         let mut offsets = Vec::with_capacity(adjacency.len() + 1);
         let mut transitions = Vec::with_capacity(adjacency.iter().map(Vec::len).sum());
         offsets.push(0u32);
@@ -62,10 +60,25 @@ impl Lts {
             transitions.extend_from_slice(row);
             offsets.push(transitions.len() as u32);
         }
+        Self::from_csr(actions, offsets, transitions, initial)
+    }
+
+    /// Assembles an LTS from ready CSR arrays: `offsets` has one entry per
+    /// state plus a final one, `offsets[s]..offsets[s+1]` indexing
+    /// `transitions`.
+    pub(crate) fn from_csr(
+        actions: Vec<Action>,
+        offsets: Vec<u32>,
+        transitions: Vec<Transition>,
+        initial: StateId,
+    ) -> Self {
         assert!(
-            (initial.index()) < adjacency.len(),
+            initial.index() + 1 < offsets.len(),
             "initial state out of range"
         );
+        debug_assert_eq!(offsets.last().copied(), Some(transitions.len() as u32));
+        let visible: Vec<bool> = actions.iter().map(Action::is_visible).collect();
+        let num_visible_actions = visible.iter().filter(|v| **v).count();
         Lts {
             actions,
             offsets,

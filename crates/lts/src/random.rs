@@ -64,7 +64,7 @@ pub fn random_lts(seed: u64, config: RandomLtsConfig) -> Lts {
     let tau = b.intern_action(Action::tau(ThreadId(1)));
     let mut letters = Vec::new();
     for i in 0..config.num_visible_letters.max(1) {
-        letters.push(b.intern_action(Action::call(ThreadId(1), &format!("a{i}"), None)));
+        letters.push(b.intern_action(Action::call(ThreadId(1), format!("a{i}"), None)));
     }
 
     let pick_action = |rng: &mut SplitMix64| {

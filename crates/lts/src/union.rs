@@ -67,7 +67,7 @@ mod tests {
     use super::*;
     use crate::{Action, ThreadId};
 
-    fn single(label: &str) -> Lts {
+    fn single(label: &'static str) -> Lts {
         let mut b = LtsBuilder::new();
         let s0 = b.add_state();
         let s1 = b.add_state();

@@ -244,6 +244,19 @@ pub static SPILL_SEGMENTS: Counter = Counter::new("compact.spill_segments");
 pub static SPILL_BYTES: Counter = Counter::new("compact.spill_bytes");
 /// Spilled segments reloaded from disk to answer a seen-set probe.
 pub static SPILL_RELOADS: Counter = Counter::new("compact.spill_reloads");
+/// Successor steps generated by exploration (duplicates included).
+/// Exploration counts these five in locals and adds them once per run.
+pub static EXPLORE_SUCCESSORS: Counter = Counter::new("explore.successors");
+/// Successors whose state the seen-set already held.
+pub static EXPLORE_INTERN_HITS: Counter = Counter::new("explore.intern_hits");
+/// Successors that added a new state (`intern_hits + fresh_states =
+/// successors`; per exploration, `fresh_states + 1 = states`).
+pub static EXPLORE_FRESH_STATES: Counter = Counter::new("explore.fresh_states");
+/// Arena entries decoded by seen-set probes that hit (prefix-compression
+/// restart-group replay).
+pub static EXPLORE_PROBE_REPLAYED: Counter = Counter::new("explore.probe_replayed");
+/// Distinct action labels interned by exploration.
+pub static EXPLORE_ACTIONS: Counter = Counter::new("explore.actions");
 
 /// Current BFS frontier depth (undiscovered tail of the exploration queue).
 pub static EXPLORE_FRONTIER: Gauge = Gauge::new("explore.frontier_depth");
@@ -266,7 +279,7 @@ pub static JOURNAL_FSYNC_US: Histogram = Histogram::new("serve.journal_fsync_us"
 /// (0 = direct hit; long tails indicate index pressure).
 pub static SEEN_PROBE_LEN: Histogram = Histogram::new("explore.seen_probe_len");
 
-static COUNTERS: [&Counter; 24] = [
+static COUNTERS: [&Counter; 29] = [
     &SIG_STATE_RECOMPUTES,
     &SIG_ROUNDS,
     &SIG_DIRTY_STATES,
@@ -291,6 +304,11 @@ static COUNTERS: [&Counter; 24] = [
     &SPILL_SEGMENTS,
     &SPILL_BYTES,
     &SPILL_RELOADS,
+    &EXPLORE_SUCCESSORS,
+    &EXPLORE_INTERN_HITS,
+    &EXPLORE_FRESH_STATES,
+    &EXPLORE_PROBE_REPLAYED,
+    &EXPLORE_ACTIONS,
 ];
 
 static GAUGES: [&Gauge; 3] = [

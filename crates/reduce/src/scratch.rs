@@ -10,7 +10,9 @@
 //! likewise an ideal ample step for the partial-order layer.
 
 use bb_lts::ThreadId;
-use bb_sim::{Footprint, MethodId, MethodSpec, ObjectAlgorithm, Outcome, ThreadPerm, Value};
+use bb_sim::{
+    Footprint, Frames, MethodId, MethodSpec, ObjectAlgorithm, Outcome, ThreadPerm, Value,
+};
 
 /// The scratch-pad object: per-thread write-only slots.
 #[derive(Debug, Clone)]
@@ -109,7 +111,12 @@ impl ObjectAlgorithm for ScratchPad {
         }
     }
 
-    fn rename_threads(&self, shared: &mut Shared, _frames: &mut [&mut Frame], perm: &ThreadPerm) {
+    fn rename_threads(
+        &self,
+        shared: &mut Shared,
+        _frames: &mut Frames<'_, Frame>,
+        perm: &ThreadPerm,
+    ) {
         perm.apply_vec(&mut shared.slots);
     }
 }

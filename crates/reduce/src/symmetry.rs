@@ -3,7 +3,7 @@
 //! The most general client makes threads interchangeable: thread identity
 //! appears in action labels and in per-thread slots of the shared state,
 //! but never in the algorithm's logic. Whenever two threads are in
-//! **identical** local states (same [`ThreadStatus`], including frame and
+//! **identical** local states (same [`ThreadStatus`](bb_sim::ThreadStatus), including frame and
 //! remaining-operation count), swapping their per-thread shared data yields
 //! a state with the *same* future visible behavior — the permuted state and
 //! the original are divergence-sensitive branching bisimilar with identical
@@ -17,7 +17,7 @@
 //! never changes the status vector, so states with different visible
 //! pending operations are never merged.
 
-use bb_sim::{ObjectAlgorithm, SysState, System, ThreadPerm, ThreadStatus};
+use bb_sim::{Frames, ObjectAlgorithm, SysState, System, ThreadPerm};
 
 /// Orbit-size cap: states whose identical-status groups span more than this
 /// many composite permutations skip canonicalization (deterministically, so
@@ -101,14 +101,9 @@ pub(crate) fn canonicalize_symmetry<A: ObjectAlgorithm>(
         let mut cand = st.clone();
         {
             let SysState { shared, threads } = &mut cand;
-            let mut frames: Vec<&mut A::Frame> = threads
-                .iter_mut()
-                .filter_map(|t| match t {
-                    ThreadStatus::Running { frame, .. } => Some(frame),
-                    ThreadStatus::Idle { .. } => None,
-                })
-                .collect();
-            system.algorithm().rename_threads(shared, &mut frames, &perm);
+            system
+                .algorithm()
+                .rename_threads(shared, &mut Frames::new(threads), &perm);
         }
         // Relocated slots may change heap root order; re-canonicalize so
         // orbit elements that denote the same abstract state coincide.

@@ -358,13 +358,13 @@ mod tests {
     use super::*;
     use bb_lts::{Action, LtsBuilder, ThreadId};
 
-    fn seq(labels: &[&str]) -> Lts {
+    fn seq(labels: &[&'static str]) -> Lts {
         let mut b = LtsBuilder::new();
         let mut prev = b.add_state();
         let init = prev;
         for l in labels {
             let next = b.add_state();
-            let a = b.intern_action(Action::call(ThreadId(1), l, None));
+            let a = b.intern_action(Action::call(ThreadId(1), *l, None));
             b.add_transition(prev, a, next);
             prev = next;
         }

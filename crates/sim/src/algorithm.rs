@@ -1,5 +1,7 @@
 //! The object-algorithm trait: one small-step state machine per method body.
 
+use crate::client::Frames;
+use crate::heap::CanonScratch;
 use crate::Value;
 use bb_lts::ThreadId;
 use std::fmt::Debug;
@@ -201,7 +203,17 @@ pub trait ObjectAlgorithm {
     /// Canonicalizes the shared state together with all live frames
     /// (garbage collection + renaming of heap pointers). The default is a
     /// no-op for algorithms without a heap.
-    fn canonicalize(&self, _shared: &mut Self::Shared, _frames: &mut [&mut Self::Frame]) {}
+    ///
+    /// Runs once per explored transition, so implementations visit their
+    /// roots straight into [`Heap::canonicalizer`](crate::Heap::canonicalizer)
+    /// over the caller's `scratch` rather than collecting them in a vector.
+    fn canonicalize(
+        &self,
+        _shared: &mut Self::Shared,
+        _frames: &mut Frames<'_, Self::Frame>,
+        _scratch: &mut CanonScratch,
+    ) {
+    }
 
     /// Independence class of thread `t`'s next step when executing `frame`
     /// in `shared` — metadata for the ample-set partial-order reduction.
@@ -230,7 +242,7 @@ pub trait ObjectAlgorithm {
     fn rename_threads(
         &self,
         _shared: &mut Self::Shared,
-        _frames: &mut [&mut Self::Frame],
+        _frames: &mut Frames<'_, Self::Frame>,
         _perm: &ThreadPerm,
     ) {
     }

@@ -1,12 +1,14 @@
 //! The most general client (Section II-B) and system-level semantics.
 
 use crate::algorithm::{MethodId, MethodSpec, ObjectAlgorithm, Outcome};
+use crate::heap::CanonScratch;
 use crate::pack::{Pack, PackReader, PackWriter};
 use bb_lts::budget::Exhausted;
 use bb_lts::{
     explore_compact, Action, CodecSemantics, ExploreError, ExploreLimits, ExploreOptions,
     ExploreReport, Lts, Semantics, ThreadId,
 };
+use std::cell::RefCell;
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -95,6 +97,37 @@ impl<F: Pack> Pack for ThreadStatus<F> {
     }
 }
 
+/// The live frames of a system state — the frame of every running thread,
+/// in thread order — as [`ObjectAlgorithm::canonicalize`] and
+/// [`ObjectAlgorithm::rename_threads`] see them. A view over the thread
+/// statuses, so handing it out allocates nothing.
+pub struct Frames<'a, F> {
+    threads: &'a mut [ThreadStatus<F>],
+}
+
+impl<'a, F> Frames<'a, F> {
+    /// The frames of the running threads among `threads`.
+    pub fn new(threads: &'a mut [ThreadStatus<F>]) -> Self {
+        Frames { threads }
+    }
+
+    /// The live frames, in thread order.
+    pub fn iter(&self) -> impl Iterator<Item = &F> + '_ {
+        self.threads.iter().filter_map(|t| match t {
+            ThreadStatus::Running { frame, .. } => Some(frame),
+            ThreadStatus::Idle { .. } => None,
+        })
+    }
+
+    /// The live frames, mutably, in thread order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut F> + '_ {
+        self.threads.iter_mut().filter_map(|t| match t {
+            ThreadStatus::Running { frame, .. } => Some(frame),
+            ThreadStatus::Idle { .. } => None,
+        })
+    }
+}
+
 /// Global state of the most general client: shared object state plus every
 /// thread's status.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -110,11 +143,18 @@ pub struct SysState<S, F> {
 /// parameters, up to the bound. Implements [`Semantics`], so
 /// [`bb_lts::explore`] (or [`explore_system`]) unfolds it into the object
 /// LTS of Definition 2.1.
+///
+/// A `System` owns the work buffers of successor generation (the step
+/// outcomes and the heap-canonicalization scratch), reused across calls so
+/// that generating a successor allocates only the successor itself. It is
+/// therefore not `Sync`: give each exploring thread its own.
 #[derive(Debug, Clone)]
 pub struct System<'a, A: ObjectAlgorithm> {
     alg: &'a A,
     bound: Bound,
     methods: Vec<MethodSpec>,
+    outcomes: RefCell<Vec<Outcome<A::Shared, A::Frame>>>,
+    canon: RefCell<CanonScratch>,
 }
 
 impl<'a, A: ObjectAlgorithm> System<'a, A> {
@@ -124,6 +164,8 @@ impl<'a, A: ObjectAlgorithm> System<'a, A> {
             alg,
             bound,
             methods: alg.methods(),
+            outcomes: RefCell::default(),
+            canon: RefCell::default(),
         }
     }
 
@@ -142,18 +184,11 @@ impl<'a, A: ObjectAlgorithm> System<'a, A> {
     /// layers can re-canonicalize after transforming a state.
     pub fn canonicalize_state(&self, st: &mut SysState<A::Shared, A::Frame>) {
         let SysState { shared, threads } = st;
-        let mut frames: Vec<&mut A::Frame> = threads
-            .iter_mut()
-            .filter_map(|t| match t {
-                ThreadStatus::Running { frame, .. } => Some(frame),
-                ThreadStatus::Idle { .. } => None,
-            })
-            .collect();
-        self.alg.canonicalize(shared, &mut frames);
-    }
-
-    fn canonicalize(&self, st: &mut SysState<A::Shared, A::Frame>) {
-        self.canonicalize_state(st);
+        self.alg.canonicalize(
+            shared,
+            &mut Frames::new(threads),
+            &mut self.canon.borrow_mut(),
+        );
     }
 
     /// Appends the outgoing steps contributed by thread `ti` (0-based) in
@@ -181,7 +216,7 @@ impl<'a, A: ObjectAlgorithm> System<'a, A> {
                             frame: self.alg.begin(mid, arg, t),
                             remaining: remaining - 1,
                         };
-                        self.canonicalize(&mut next);
+                        self.canonicalize_state(&mut next);
                         out.push((Action::call(t, spec.name, arg), next));
                     }
                 }
@@ -191,37 +226,49 @@ impl<'a, A: ObjectAlgorithm> System<'a, A> {
                 frame,
                 remaining,
             } => {
-                let mut outcomes = Vec::new();
+                let mut outcomes = self.outcomes.take();
                 self.alg.step(&state.shared, frame, t, &mut outcomes);
-                for oc in outcomes {
-                    match oc {
+                for oc in outcomes.drain(..) {
+                    // The outcome carries the successor's shared state, so
+                    // only the thread statuses are cloned.
+                    let (shared, status, action) = match oc {
                         Outcome::Tau { shared, frame, tag } => {
-                            let mut next = state.clone();
-                            next.shared = shared;
-                            next.threads[ti] = ThreadStatus::Running {
+                            let status = ThreadStatus::Running {
                                 method: *method,
                                 frame,
                                 remaining: *remaining,
                             };
-                            self.canonicalize(&mut next);
                             let action = if tag.is_empty() {
                                 Action::tau(t)
                             } else {
                                 Action::tau_tagged(t, tag)
                             };
-                            out.push((action, next));
+                            (shared, status, action)
                         }
-                        Outcome::Ret { shared, val, tag: _ } => {
-                            let mut next = state.clone();
-                            next.shared = shared;
-                            next.threads[ti] = ThreadStatus::Idle {
+                        Outcome::Ret {
+                            shared,
+                            val,
+                            tag: _,
+                        } => {
+                            let status = ThreadStatus::Idle {
                                 remaining: *remaining,
                             };
-                            self.canonicalize(&mut next);
-                            out.push((Action::ret(t, self.methods[*method].name, val), next));
+                            (
+                                shared,
+                                status,
+                                Action::ret(t, self.methods[*method].name, val),
+                            )
                         }
-                    }
+                    };
+                    let mut next = SysState {
+                        shared,
+                        threads: state.threads.clone(),
+                    };
+                    next.threads[ti] = status;
+                    self.canonicalize_state(&mut next);
+                    out.push((action, next));
                 }
+                self.outcomes.replace(outcomes);
             }
         }
     }
@@ -244,7 +291,7 @@ where
                 self.bound.threads as usize
             ],
         };
-        self.canonicalize(&mut st);
+        self.canonicalize_state(&mut st);
         st
     }
 
@@ -272,14 +319,19 @@ where
         }
     }
 
-    fn decode_state(&self, bytes: &[u8]) -> Self::State {
+    /// Keeps the allocations of `state`'s heap and thread vector.
+    fn decode_state_into(&self, bytes: &[u8], state: &mut Self::State) {
         let mut r = PackReader::new(bytes);
-        let shared = A::Shared::unpack(&mut r).expect("corrupt shared-state encoding");
-        let threads = (0..self.bound.threads)
-            .map(|_| ThreadStatus::unpack(&mut r).expect("corrupt thread-status encoding"))
-            .collect();
+        state
+            .shared
+            .unpack_into(&mut r)
+            .expect("corrupt shared-state encoding");
+        state.threads.clear();
+        state.threads.extend(
+            (0..self.bound.threads)
+                .map(|_| ThreadStatus::unpack(&mut r).expect("corrupt thread-status encoding")),
+        );
         debug_assert!(r.finished(), "trailing bytes after state encoding");
-        SysState { shared, threads }
     }
 
     fn state_heap_bytes(&self, state: &Self::State) -> usize {

@@ -31,10 +31,10 @@ mod spec;
 
 pub use algorithm::{Footprint, MethodId, MethodSpec, ObjectAlgorithm, Outcome, ThreadPerm};
 pub use client::{
-    explore_system, explore_system_report, explore_system_with, Bound, SysState, System,
+    explore_system, explore_system_report, explore_system_with, Bound, Frames, SysState, System,
     ThreadStatus,
 };
-pub use heap::{Heap, HeapNode, Renaming};
+pub use heap::{CanonScratch, Canonicalizer, Heap, HeapNode, Renaming};
 pub use pack::{Pack, PackReader, PackWriter, STATE_ENCODING_VERSION};
 pub use ptr::Ptr;
 pub use spec::{AtomicSpec, SequentialSpec};

@@ -133,6 +133,16 @@ pub trait Pack: Sized {
     /// Returns `None` on any malformed input (never panics).
     fn unpack(r: &mut PackReader<'_>) -> Option<Self>;
 
+    /// Decodes one value into `self`, reusing its allocations where the
+    /// type allows: vectors keep their capacity, and `impl_pack!` structs
+    /// decode field by field. This is how exploration re-reads one frontier
+    /// state after another without allocating. On malformed input returns
+    /// `None`, leaving `self` valid but unspecified.
+    fn unpack_into(&mut self, r: &mut PackReader<'_>) -> Option<()> {
+        *self = Self::unpack(r)?;
+        Some(())
+    }
+
     /// Heap bytes owned by `self` beyond its inline size — what the rich
     /// (unpacked) representation really costs, used by the truthful memory
     /// accounting of the baseline seen-set. Inline-only types report 0.
@@ -267,17 +277,24 @@ impl<T: Pack> Pack for Vec<T> {
     }
     #[inline]
     fn unpack(r: &mut PackReader<'_>) -> Option<Self> {
+        let mut out = Vec::new();
+        out.unpack_into(r)?;
+        Some(out)
+    }
+    #[inline]
+    fn unpack_into(&mut self, r: &mut PackReader<'_>) -> Option<()> {
         let n = usize::try_from(r.take_u64()?).ok()?;
         // Sanity bound: no state in this workspace packs below 1 byte per
         // element, so a length beyond the remaining input is malformed.
         if n > r.bytes.len().saturating_sub(r.pos).saturating_add(1) * 8 {
             return None;
         }
-        let mut out = Vec::with_capacity(n);
+        self.clear();
+        self.reserve_exact(n);
         for _ in 0..n {
-            out.push(T::unpack(r)?);
+            self.push(T::unpack(r)?);
         }
-        Some(out)
+        Some(())
     }
     fn heap_bytes(&self) -> usize {
         self.capacity() * std::mem::size_of::<T>()
@@ -309,12 +326,19 @@ impl<T: Pack> Pack for Vec<T> {
 macro_rules! impl_pack {
     (struct $name:ident { $($f:ident),* $(,)? }) => {
         impl $crate::Pack for $name {
+            #[inline]
             fn pack(&self, w: &mut $crate::PackWriter<'_>) {
                 $( $crate::Pack::pack(&self.$f, w); )*
             }
+            #[inline]
             fn unpack(r: &mut $crate::PackReader<'_>) -> Option<Self> {
                 $( let $f = $crate::Pack::unpack(r)?; )*
                 Some($name { $($f),* })
+            }
+            #[inline]
+            fn unpack_into(&mut self, r: &mut $crate::PackReader<'_>) -> Option<()> {
+                $( $crate::Pack::unpack_into(&mut self.$f, r)?; )*
+                Some(())
             }
             fn heap_bytes(&self) -> usize {
                 0usize $( + $crate::Pack::heap_bytes(&self.$f) )*
@@ -328,6 +352,7 @@ macro_rules! impl_pack {
         ),* $(,)?
     }) => {
         impl $crate::Pack for $name {
+            #[inline]
             fn pack(&self, w: &mut $crate::PackWriter<'_>) {
                 match self {
                     $( $name::$v $( { $($f),* } )? $( ( $($e),* ) )? => {
@@ -337,6 +362,7 @@ macro_rules! impl_pack {
                     } )*
                 }
             }
+            #[inline]
             fn unpack(r: &mut $crate::PackReader<'_>) -> Option<Self> {
                 match r.take_u8()? {
                     $( $tag => Some($name::$v

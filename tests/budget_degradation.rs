@@ -21,12 +21,15 @@ use bbverify::core::{
     verify_case_governed, verify_case_governed_with, verify_lock_freedom_opts, GovernedConfig,
 };
 use bbverify::lts::{
-    random_lts, Budget, ExhaustReason, Lts, RandomLtsConfig, Stage, Watchdog,
+    random_lts, Budget, ExhaustReason, Lts, RandomLtsConfig, SpillBackend, Stage, Watchdog,
 };
 use bbverify::ltl::{check, check_governed, lock_freedom};
 use bbverify::refine::{trace_refines, trace_refines_governed, RefineOptions};
 use bbverify::lts::ExploreOptions;
 use bbverify::sim::{explore_system_with, AtomicSpec, Bound};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 fn tiny(budget: Budget) -> Watchdog {
@@ -194,6 +197,69 @@ fn generous_budget_agrees_with_unbudgeted_case_verdict() {
         &GovernedConfig::new(Bound::new(2, 1), Budget::unlimited()),
     );
     assert_eq!(governed.overall(), unbudgeted.overall());
+}
+
+/// A spill tier that accepts every write and then betrays the reload:
+/// an I/O error, or the segment with one byte flipped.
+struct BetrayingSpill {
+    segments: Mutex<HashMap<u32, Vec<u8>>>,
+    corrupt: bool,
+    reads: AtomicU32,
+}
+
+impl SpillBackend for BetrayingSpill {
+    fn write_segment(&self, index: u32, payload: &[u8]) -> std::io::Result<()> {
+        self.segments
+            .lock()
+            .unwrap()
+            .insert(index, payload.to_vec());
+        Ok(())
+    }
+
+    fn read_segment(&self, index: u32) -> std::io::Result<Vec<u8>> {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        if !self.corrupt {
+            return Err(std::io::Error::other("spill disk gone"));
+        }
+        let mut bytes = self.segments.lock().unwrap()[&index].clone();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        Ok(bytes)
+    }
+}
+
+/// A spilled state-store segment that cannot be reloaded intact ends the
+/// explore stage with a structured `SpillFault`; the governed pipeline
+/// reports Inconclusive, never a verdict and never a panic. Under a 900 kB
+/// cap, ms-queue 2-2 spills one segment and a later probe reloads it.
+#[test]
+fn unreadable_spill_segment_is_inconclusive_never_a_panic() {
+    for corrupt in [false, true] {
+        let spill = BetrayingSpill {
+            segments: Mutex::new(HashMap::new()),
+            corrupt,
+            reads: AtomicU32::new(0),
+        };
+        let alg = MsQueue::new(&[1, 2]);
+        let spec = AtomicSpec::new(SeqQueue::new(&[1, 2]));
+        let explorer = |bound: Bound, wd: &Watchdog| {
+            let opts = ExploreOptions::governed(wd).with_spill(&spill);
+            let imp = explore_system_with(&alg, bound, &opts)?;
+            let sp = explore_system_with(&spec, bound, &opts)?;
+            Ok((imp, sp))
+        };
+        let budget = Budget::unlimited().with_max_memory_bytes(900_000);
+        let config = GovernedConfig::new(Bound::new(2, 2), budget).no_fallback();
+        let report = verify_case_governed_with("ms-queue", &config, &explorer);
+        assert!(report.overall().is_inconclusive(), "{}", report.render());
+        let failure = report.attempts[0].failure.as_ref().expect("attempt failed");
+        assert_eq!(failure.stage, Stage::Explore);
+        assert_eq!(failure.reason, ExhaustReason::SpillFault, "{failure}");
+        assert!(
+            spill.reads.load(Ordering::Relaxed) > 0,
+            "the segment was reloaded"
+        );
+    }
 }
 
 // ------------------------------------------------------- property sweep

@@ -116,6 +116,51 @@ fn explore_span_reports_the_store_peak() {
     assert_eq!(gauge, Some(peak));
 }
 
+/// The exploration's hot counters balance on every `explore` span: each
+/// generated successor either hit the seen-set or added a state, and every
+/// state but the initial one was added that way. The run-wide counters are
+/// the sums over the spans, and the LTS arrays report their own bytes.
+#[test]
+fn explore_span_counters_balance() {
+    let (doc, _) = capture("tally", "ms-queue");
+    let explores = spans_named(&doc, "explore");
+    assert_eq!(explores.len(), 2, "implementation and specification");
+    let counter = |name: &str| {
+        doc.get("counters")
+            .unwrap()
+            .get(name)
+            .and_then(JsonValue::as_u64)
+            .unwrap()
+    };
+    let mut sums = [0u64; 5];
+    for s in &explores {
+        let f = |key: &str| field(s, key).unwrap_or_else(|| panic!("explore span lacks {key}"));
+        let (succ, hits, fresh) = (f("successors"), f("intern_hits"), f("fresh_states"));
+        assert_eq!(hits + fresh, succ, "hits + fresh = successors");
+        assert_eq!(fresh + 1, f("states"), "fresh + 1 = states");
+        assert!(succ >= f("transitions"), "every transition was generated");
+        assert!(f("actions") > 0 && f("lts_bytes") > 0);
+        let replayed = f("probe_replayed");
+        assert!(replayed >= hits, "a hit decodes at least its own entry");
+        for (sum, v) in sums
+            .iter_mut()
+            .zip([succ, hits, fresh, replayed, f("actions")])
+        {
+            *sum += v;
+        }
+    }
+    let names = [
+        "explore.successors",
+        "explore.intern_hits",
+        "explore.fresh_states",
+        "explore.probe_replayed",
+        "explore.actions",
+    ];
+    for (name, sum) in names.into_iter().zip(sums) {
+        assert_eq!(counter(name), sum, "{name} is the sum over explore spans");
+    }
+}
+
 /// Theorem 5.9 is the τ-cycle pass: `lockfree` has a `divergence` child and
 /// no `bisim` child, and records the cycle and, on a refutation, the lasso
 /// lengths.

@@ -16,7 +16,7 @@ use bbverify::algorithms::treiber_hp::TreiberHp;
 use bbverify::lts::Semantics;
 use bbverify::reduce::canonical_state;
 use bbverify::reduce::scratch::ScratchPad;
-use bbverify::sim::{Bound, ObjectAlgorithm, SysState, System, ThreadPerm, ThreadStatus};
+use bbverify::sim::{Bound, Frames, ObjectAlgorithm, SysState, System, ThreadPerm, ThreadStatus};
 use std::collections::HashMap;
 
 /// Number of seeded permutation trials per reachable state set.
@@ -96,14 +96,9 @@ fn permute<A: ObjectAlgorithm>(
     let mut out = st.clone();
     {
         let SysState { shared, threads } = &mut out;
-        let mut frames: Vec<&mut A::Frame> = threads
-            .iter_mut()
-            .filter_map(|t| match t {
-                ThreadStatus::Running { frame, .. } => Some(frame),
-                ThreadStatus::Idle { .. } => None,
-            })
-            .collect();
-        system.algorithm().rename_threads(shared, &mut frames, perm);
+        system
+            .algorithm()
+            .rename_threads(shared, &mut Frames::new(threads), perm);
     }
     system.canonicalize_state(&mut out);
     out
