@@ -12,9 +12,8 @@
 //! breakdown of the verification pipeline, collected through bb-obs spans
 //! — the EXPERIMENTS.md observability table). The `--large` flag
 //! extends the sweeps towards the paper's original configurations (minutes
-//! of runtime instead of seconds); `--jobs N` runs partition refinement
-//! on N worker threads (deterministic — only timings change); exploration
-//! is serial. Absolute state counts and times differ
+//! of runtime instead of seconds). Every stage is serial; a `--jobs N`
+//! left over from older command lines is ignored. Absolute state counts and times differ
 //! from the paper (different front end, hardware and heap canonicalization
 //! — see DESIGN.md); the *shape* of every result is reproduced.
 
@@ -28,7 +27,7 @@ use bb_core::{
     verify_lock_freedom_via_abstraction, LockFreeReport, VerifyConfig,
 };
 use bb_ktrace::{classify_tau_edges, KtraceLimits};
-use bb_lts::{ExploreOptions, Jobs, Lts, Watchdog};
+use bb_lts::{ExploreOptions, Lts, Watchdog};
 use bb_reduce::scratch::ScratchPad;
 use bb_reduce::{explore_reduced, ReduceMode};
 use bb_persist::{Cache, CacheEntry};
@@ -46,13 +45,6 @@ use bb_algorithms::{
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let large = args.iter().any(|a| a == "--large");
-    let jobs = match parse_jobs(&args) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(3);
-        }
-    };
     let reduce = match parse_reduce(&args) {
         Ok(m) => m,
         Err(e) => {
@@ -70,7 +62,7 @@ fn main() {
     let cmd = args.first().map(String::as_str).unwrap_or("all");
     match cmd {
         "reduce" => guarded("reduce", || reduce_table(large)),
-        "verdicts" => guarded("verdicts", || verdicts(reduce, jobs, cache)),
+        "verdicts" => guarded("verdicts", || verdicts(reduce, cache)),
         "perf" => {
             let against = match parse_against(&args) {
                 Ok(a) => a,
@@ -83,30 +75,30 @@ fn main() {
             // here must fail the run rather than degrade to a log line.
             perf(&parse_out(&args), against.as_ref());
         }
-        "phases" => phases(jobs),
+        "phases" => phases(),
         "table1" => guarded("table1", table1),
-        "table2" => guarded("table2", || table2(jobs)),
-        "table3" => guarded("table3", || table3(large, jobs)),
-        "table4" => guarded("table4", || table4(large, jobs)),
-        "table5" => guarded("table5", || table5(jobs)),
-        "table6" => guarded("table6", || table6(large, jobs)),
-        "table7" => guarded("table7", || table7(jobs)),
-        "fig10" => guarded("fig10", || fig10(large, jobs)),
+        "table2" => guarded("table2", table2),
+        "table3" => guarded("table3", || table3(large)),
+        "table4" => guarded("table4", || table4(large)),
+        "table5" => guarded("table5", table5),
+        "table6" => guarded("table6", || table6(large)),
+        "table7" => guarded("table7", table7),
+        "fig10" => guarded("fig10", || fig10(large)),
         "all" => {
             guarded("table1", table1);
-            guarded("table2", || table2(jobs));
-            guarded("table3", || table3(large, jobs));
-            guarded("table4", || table4(large, jobs));
-            guarded("table5", || table5(jobs));
-            guarded("table6", || table6(large, jobs));
-            guarded("table7", || table7(jobs));
-            guarded("fig10", || fig10(large, jobs));
+            guarded("table2", table2);
+            guarded("table3", || table3(large));
+            guarded("table4", || table4(large));
+            guarded("table5", table5);
+            guarded("table6", || table6(large));
+            guarded("table7", table7);
+            guarded("fig10", || fig10(large));
         }
         other => {
             eprintln!("unknown subcommand `{other}`");
             eprintln!(
                 "usage: tables [table1..table7|fig10|reduce|verdicts|phases|perf|all] \
-                 [--large] [--jobs N] [--reduce none|sym|por|full] \
+                 [--large] [--reduce none|sym|por|full] \
                  [--out FILE] [--cache DIR] [--against BASELINE.json] [--max-regress PCT]"
             );
             std::process::exit(3);
@@ -176,23 +168,9 @@ fn parse_cache(args: &[String]) -> Result<Option<Cache>, String> {
         .map_err(|e| format!("--cache {dir}: {e}"))
 }
 
-/// Parses `--jobs N` (default: all cores). Every table is deterministic in
-/// the worker count — only the timing columns change.
-fn parse_jobs(args: &[String]) -> Result<Jobs, String> {
-    let Some(pos) = args.iter().position(|a| a == "--jobs") else {
-        return Ok(Jobs::available());
-    };
-    let raw = args.get(pos + 1).ok_or("--jobs needs a thread count")?;
-    let n: usize = raw.parse().map_err(|e| format!("--jobs: {e}"))?;
-    if n == 0 {
-        return Err("--jobs must be at least 1".into());
-    }
-    Ok(Jobs::new(n))
-}
-
-/// `|lts/≈|`, refined on `jobs` workers.
-fn quotient_states(lts: &Lts, jobs: Jobs) -> usize {
-    let opts = PartitionOptions::default().with_jobs(jobs);
+/// `|lts/≈|`.
+fn quotient_states(lts: &Lts) -> usize {
+    let opts = PartitionOptions;
     let p = partition_with(lts, Equivalence::Branching, &Watchdog::unlimited(), opts)
         .expect("an unlimited watchdog never trips");
     quotient(lts, &p).lts.num_states()
@@ -246,7 +224,7 @@ fn table1() {
 
 // ----------------------------------------------------------------- Table II
 
-fn table2(jobs: Jobs) {
+fn table2() {
     println!("\n=== TABLE II — verified algorithms using branching bisimulation ===\n");
     println!(
         "{:<40} {:>6} {:>16} {:>10} {:>12} {:>10}",
@@ -263,7 +241,7 @@ fn table2(jobs: Jobs) {
                 let bound = Bound::new($th, $op);
                 let imp = try_lts_of(&$alg, $th, $op)?;
                 let spec = try_lts_of(&AtomicSpec::new($spec), $th, $op)?;
-                let mut cfg = VerifyConfig::new(bound).with_jobs(jobs);
+                let mut cfg = VerifyConfig::new(bound);
                 if !$lf {
                     cfg = cfg.linearizability_only();
                 }
@@ -332,10 +310,10 @@ fn lock_freedom_header(alg: &str) {
     );
 }
 
-/// One row: `|Δ/≈|` is refined on `jobs` workers outside the timed call,
+/// One row: `|Δ/≈|` is refined outside the timed call,
 /// so the time column is the Thm 5.9 check alone (one τ-cycle search).
-fn lock_freedom_row(imp: &Lts, th: u8, op: u32, jobs: Jobs) -> LockFreeReport {
-    let q = quotient_states(imp, jobs);
+fn lock_freedom_row(imp: &Lts, th: u8, op: u32) -> LockFreeReport {
+    let q = quotient_states(imp);
     let t0 = Instant::now();
     let r = verify_lock_freedom(imp);
     println!(
@@ -351,7 +329,7 @@ fn lock_freedom_row(imp: &Lts, th: u8, op: u32, jobs: Jobs) -> LockFreeReport {
 
 // ---------------------------------------------------------------- Table III
 
-fn table3(large: bool, jobs: Jobs) {
+fn table3(large: bool) {
     println!("\n=== TABLE III — automatically checking lock-freedom of the MS queue (Thm 5.9) ===\n");
     lock_freedom_header("MS");
     let mut configs = vec![(2u8, 1u32), (2, 2), (2, 3), (3, 1)];
@@ -359,13 +337,13 @@ fn table3(large: bool, jobs: Jobs) {
         configs.extend([(2, 4), (2, 5), (3, 2)]);
     }
     for (th, op) in configs {
-        lock_freedom_row(&lts_of(&MsQueue::new(&[1, 2]), th, op), th, op, jobs);
+        lock_freedom_row(&lts_of(&MsQueue::new(&[1, 2]), th, op), th, op);
     }
 }
 
 // ----------------------------------------------------------------- Table IV
 
-fn table4(large: bool, jobs: Jobs) {
+fn table4(large: bool) {
     println!("\n=== TABLE IV — automatically checking lock-freedom of the HM list (Thm 5.9) ===\n");
     lock_freedom_header("HM");
     let mut configs = vec![(2u8, 1u32), (2, 2), (3, 1)];
@@ -373,18 +351,18 @@ fn table4(large: bool, jobs: Jobs) {
         configs.extend([(2, 3), (2, 4)]);
     }
     for (th, op) in configs {
-        lock_freedom_row(&lts_of(&HmList::revised(&[1, 2]), th, op), th, op, jobs);
+        lock_freedom_row(&lts_of(&HmList::revised(&[1, 2]), th, op), th, op);
     }
 }
 
 // ------------------------------------------------------------------ Table V
 
-fn table5(jobs: Jobs) {
+fn table5() {
     println!("\n=== TABLE V — checking lock-freedom of the HW queue ===\n");
     lock_freedom_header("HW");
     let (th, op) = (3u8, 1u32);
     let imp = lts_of(&HwQueue::for_bound(&[1], th, op), th, op);
-    let r = lock_freedom_row(&imp, th, op, jobs);
+    let r = lock_freedom_row(&imp, th, op);
     if let Some(lasso) = &r.divergence {
         println!("\n-- Fig. 9: the divergence generated by the check --");
         for line in bb_core::format_lasso(&imp, lasso).lines() {
@@ -395,7 +373,7 @@ fn table5(jobs: Jobs) {
 
 // ----------------------------------------------------------------- Table VI
 
-fn table6(large: bool, jobs: Jobs) {
+fn table6(large: bool) {
     println!("\n=== TABLE VI — verifying linearizability and lock-freedom of concurrent queues ===\n");
     println!(
         "{:>7} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9}  {:>21} {:>21}",
@@ -407,7 +385,7 @@ fn table6(large: bool, jobs: Jobs) {
         configs.extend([(2, 4), (3, 2)]);
     }
     let wd = Watchdog::unlimited();
-    let popts = PartitionOptions::default().with_jobs(jobs);
+    let popts = PartitionOptions;
     for (th, op) in configs {
         let dom: &[i64] = &[1, 2];
         let ms = lts_of(&MsQueue::new(dom), th, op);
@@ -415,8 +393,8 @@ fn table6(large: bool, jobs: Jobs) {
         let spec = lts_of(&AtomicSpec::new(SeqQueue::new(dom)), th, op);
         let abs = lts_of(&AbsQueue::new(dom), th, op);
 
-        let spec_q = quotient_states(&spec, jobs);
-        let ms_q = quotient_states(&ms, jobs);
+        let spec_q = quotient_states(&spec);
+        let ms_q = quotient_states(&ms);
 
         let t0 = Instant::now();
         let lf_ms = verify_lock_freedom_via_abstraction(&ms, &abs);
@@ -460,7 +438,7 @@ fn table6(large: bool, jobs: Jobs) {
 
 // ---------------------------------------------------------------- Table VII
 
-fn table7(jobs: Jobs) {
+fn table7() {
     println!("\n=== TABLE VII — checking Δ ≈ Θsp and Δ ~w Θsp for various algorithms ===\n");
     println!(
         "{:>7} {:<12} {:>10} {:>8} {:>9} {:>9} {:>5} {:>5}",
@@ -471,10 +449,10 @@ fn table7(jobs: Jobs) {
         ($name:expr, $alg:expr, $spec:expr, $th:expr, $op:expr) => {{
             let imp = lts_of(&$alg, $th, $op);
             let spec = lts_of(&AtomicSpec::new($spec), $th, $op);
-            let dq = quotient_states(&imp, jobs);
-            let sq = quotient_states(&spec, jobs);
+            let dq = quotient_states(&imp);
+            let sq = quotient_states(&spec);
             let wd = Watchdog::unlimited();
-            let popts = PartitionOptions::default().with_jobs(jobs);
+            let popts = PartitionOptions;
             let w = bisimilar_opts(&imp, &spec, Equivalence::Weak, &wd, popts)
                 .expect("an unlimited watchdog never trips");
             let b = bisimilar_opts(&imp, &spec, Equivalence::Branching, &wd, popts)
@@ -510,7 +488,7 @@ fn table7(jobs: Jobs) {
 
 // ------------------------------------------------------------------ Fig. 10
 
-fn fig10(large: bool, jobs: Jobs) {
+fn fig10(large: bool) {
     println!("\n=== FIG. 10 — state-space reduction using ≈-quotienting ===");
     println!("(2 threads, increasing #operations; log-log data series)\n");
     println!(
@@ -535,7 +513,7 @@ fn fig10(large: bool, jobs: Jobs) {
                         break;
                     }
                 };
-                let q = quotient_states(&lts, jobs);
+                let q = quotient_states(&lts);
                 println!(
                     "{:<28} {:>4} {:>12} {:>10} {:>10.1}",
                     $name,
@@ -633,7 +611,7 @@ fn reduce_table(large: bool) {
 /// analysis), collected through bb-obs spans. Timing columns vary run to
 /// run; the phase *shape* — which phases dominate on which object — is the
 /// reproducible part (see EXPERIMENTS.md).
-fn phases(jobs: Jobs) {
+fn phases() {
     println!("\n=== Per-phase time breakdown (bb-obs spans; wall-clock µs) ===\n");
     println!(
         "{:<12} {:>7} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12} {:>7}",
@@ -646,7 +624,7 @@ fn phases(jobs: Jobs) {
             let outcome = bb_core::run_isolated(|| -> Result<(), bb_lts::ExploreError> {
                 let imp = try_lts_of(&$alg, $th, $op)?;
                 let spec = try_lts_of(&AtomicSpec::new($spec), $th, $op)?;
-                let cfg = VerifyConfig::new(Bound::new($th, $op)).with_jobs(jobs);
+                let cfg = VerifyConfig::new(Bound::new($th, $op));
                 let _ = verify_case_lts($name, cfg, &imp, &spec);
                 Ok(())
             });
@@ -704,7 +682,7 @@ fn phases(jobs: Jobs) {
 /// The key's `refine=incremental` segment is a compatibility constant from
 /// when the refinement engine was selectable: it keeps existing cache
 /// entries valid.
-fn verdicts(reduce: ReduceMode, jobs: Jobs, cache: Option<Cache>) {
+fn verdicts(reduce: ReduceMode, cache: Option<Cache>) {
     let (mut hits, mut misses) = (0u32, 0u32);
     macro_rules! case {
         ($name:expr, $alg:expr, $spec:expr, $th:expr, $op:expr, $lf:expr) => {{
@@ -737,7 +715,7 @@ fn verdicts(reduce: ReduceMode, jobs: Jobs, cache: Option<Cache>) {
                                 explore_reduced(&AtomicSpec::new($spec), bound, reduce, &opts)?.0,
                             )
                         };
-                        let mut cfg = VerifyConfig::new(bound).with_jobs(jobs);
+                        let mut cfg = VerifyConfig::new(bound);
                         if !$lf {
                             cfg = cfg.linearizability_only();
                         }
@@ -834,7 +812,7 @@ struct PerfRow {
 /// sample, while the wall-clock is the best of `samples` runs.
 fn perf_row(name: &'static str, th: u8, op: u32, lts: &Lts, samples: u32) -> PerfRow {
     let eq = Equivalence::Branching;
-    let opts = PartitionOptions::default();
+    let opts = PartitionOptions;
     let mut full_us = u128::MAX;
     let mut inc_us = u128::MAX;
     let (mut p_full, mut full_stats) = oracle::partition_full_with_stats(lts, eq, opts);

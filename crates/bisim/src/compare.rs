@@ -39,7 +39,7 @@ impl BisimCheck {
     /// Compares `left` and `right` under `eq`, retaining diagnostics.
     pub fn run(left: &Lts, right: &Lts, eq: Equivalence) -> BisimCheck {
         let u = disjoint_union(left, right);
-        let (p, history) = partition_with_history(&u.lts, eq, PartitionOptions::default());
+        let (p, history) = partition_with_history(&u.lts, eq, PartitionOptions);
         let equivalent = p.same_block(u.left_initial, u.right_initial);
         BisimCheck {
             equivalent,
@@ -74,13 +74,13 @@ impl BisimCheck {
 /// This is the check used for Theorem 5.8 (with
 /// [`Equivalence::BranchingDiv`]) and the `≈`/`~w` columns of Table VII.
 pub fn bisimilar(left: &Lts, right: &Lts, eq: Equivalence) -> bool {
-    bisimilar_opts(left, right, eq, &Watchdog::unlimited(), PartitionOptions::default())
+    bisimilar_opts(left, right, eq, &Watchdog::unlimited(), PartitionOptions)
         .expect("an unlimited watchdog never trips")
 }
 
 /// Budget-governed [`bisimilar`] with explicit [`PartitionOptions`]: the
 /// underlying partition refinement is metered against `wd` (see
-/// [`partition_with`]); the verdict is identical at any worker count.
+/// [`partition_with`]).
 ///
 /// # Errors
 ///

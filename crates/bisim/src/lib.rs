@@ -61,7 +61,7 @@ pub use divergence::{
     starvation_witness, Lasso,
 };
 pub use partition::{BlockId, Partition};
-pub use quotient::{div_quotient, div_quotient_opts, quotient, Quotient};
+pub use quotient::{div_quotient, quotient, Quotient};
 pub use signatures::{
     oracle, partition, partition_with, partition_with_history, partition_with_stats, Equivalence,
     PartitionOptions, RefineStats, RefinementHistory,

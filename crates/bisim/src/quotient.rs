@@ -70,20 +70,7 @@ pub fn quotient(lts: &Lts, p: &Partition) -> Quotient {
 /// next-free LTL/CTL* properties — progress properties like lock-freedom
 /// can be model-checked on it (Section V-B) at a fraction of the size.
 pub fn div_quotient(lts: &Lts) -> Quotient {
-    div_quotient_opts(lts, crate::signatures::PartitionOptions::default())
-}
-
-/// [`div_quotient`] with explicit [`PartitionOptions`](crate::PartitionOptions)
-/// for the underlying `≈div` partition; the quotient is identical at any
-/// worker count.
-pub fn div_quotient_opts(lts: &Lts, opts: crate::signatures::PartitionOptions) -> Quotient {
-    let p = crate::signatures::partition_with(
-        lts,
-        crate::signatures::Equivalence::BranchingDiv,
-        &bb_lts::Watchdog::unlimited(),
-        opts,
-    )
-    .expect("an unlimited watchdog never trips");
+    let p = crate::signatures::partition(lts, crate::signatures::Equivalence::BranchingDiv);
     let divergent = crate::divergence::divergent_states(lts, &p);
 
     let mut b = LtsBuilder::new();

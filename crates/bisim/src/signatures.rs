@@ -8,22 +8,20 @@
 //! (Blom & Orzan, 2002; for the divergence flag, the mCRL2 variant of
 //! divergence-preserving branching bisimulation).
 //!
-//! Two engines implement the loop:
+//! Production runs one serial **incremental** engine: a state's signature
+//! can only change when a successor changed block, so each round recomputes
+//! only a *dirty worklist* derived from the states that moved in the
+//! previous round. Signatures are hash-consed into a flat [`SigArena`], the
+//! split compares interned `u32` sig-ids instead of re-hashing pair vectors,
+//! and the branching engines reuse the inert-τ SCC condensation across
+//! rounds whenever no component-internal τ-edge lost inertness. A checkpoint
+//! seed enters the same engine: its first round recomputes every signature
+//! against the seeded partition.
 //!
-//! * The **full** engine recomputes every signature every round — the
-//!   original formulation. It runs in production only for checkpoint-seeded
-//!   calls, and is otherwise the differential oracle in [`oracle`].
-//! * The **incremental** engine (every other call) observes that a state's
-//!   signature can only change when a successor changed block, so each round
-//!   recomputes only a *dirty worklist* derived from the states that moved in
-//!   the previous round. Signatures are hash-consed into a flat
-//!   [`SigArena`], the split compares interned `u32` sig-ids instead of
-//!   re-hashing pair vectors, and the branching engines reuse the inert-τ
-//!   SCC condensation across rounds whenever no component-internal τ-edge
-//!   lost inertness. The produced partition — block ids included — is
-//!   bit-identical to the full engine at any [`Jobs`] count; see
-//!   DESIGN.md § "Incremental refinement" for the invariants and the
-//!   determinism argument.
+//! The original **full** engine, which recomputes every signature every
+//! round, survives only as the differential oracle in [`oracle`]. Both
+//! produce the identical partition, block ids and round history included;
+//! see DESIGN.md § "Incremental refinement" for the invariants.
 
 use crate::partition::{canonical_from_labels, BlockId, Partition};
 use crate::snapshot;
@@ -68,14 +66,6 @@ fn round_fault(round: usize) {
     }
 }
 
-/// Minimum states per worker before a signature pass is fanned out.
-const SIG_MIN_CHUNK: usize = 256;
-/// Minimum SCCs per worker before a branching topological layer is fanned
-/// out (per-SCC work is heavier than per-state work).
-const SCC_MIN_CHUNK: usize = 64;
-/// Minimum split candidate blocks per worker before the grouping pass of
-/// the incremental split is fanned out.
-const SPLIT_MIN_CHUNK: usize = 64;
 /// Sentinel sig-id for "no signature computed yet".
 const NO_SIG: u32 = u32::MAX;
 
@@ -102,44 +92,16 @@ pub enum Equivalence {
     Weak,
 }
 
-/// Which refinement engine runs a call. Both produce bit-identical
-/// partitions (block ids included) at any [`Jobs`] count; they differ only
-/// in how much work a round does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Engine {
-    /// Recompute every signature every round (the reference engine).
-    Full,
-    /// Recompute only dirty states, intern signatures, and reuse the
-    /// inert-τ condensation across rounds.
-    Incremental,
-}
-
-/// Options for a partition-refinement run.
-///
-/// Every option value computes the same partition, block ids included.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionOptions {
-    /// Worker threads for the sharded signature passes.
-    pub jobs: Jobs,
-}
-
-impl Default for PartitionOptions {
-    fn default() -> Self {
-        PartitionOptions {
-            jobs: Jobs::serial(),
-        }
-    }
-}
+/// Options for a partition-refinement run. Refinement has no knobs left;
+/// the type keeps the `_opts`/`partition_with*` signatures stable.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PartitionOptions;
 
 impl PartitionOptions {
-    /// The default options: sequential.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the worker count.
-    pub fn with_jobs(mut self, jobs: Jobs) -> Self {
-        self.jobs = jobs;
+    /// Does nothing: refinement is serial. Kept so that code written
+    /// against the parallel engine still builds.
+    #[deprecated(note = "refinement is serial; the worker count is ignored")]
+    pub fn with_jobs(self, _jobs: Jobs) -> Self {
         self
     }
 }
@@ -185,8 +147,6 @@ pub(crate) const TAU_LETTER: u32 = 0;
 pub(crate) struct Ctx<'a> {
     lts: &'a Lts,
     eq: Equivalence,
-    /// Worker threads for the sharded signature passes.
-    jobs: Jobs,
     /// Maps `ActionId` to a letter id: `TAU_LETTER` for every internal
     /// action, a unique id `>= 1` per distinct observation otherwise.
     letters: Vec<u32>,
@@ -198,10 +158,6 @@ pub(crate) struct Ctx<'a> {
 
 impl<'a> Ctx<'a> {
     pub(crate) fn new(lts: &'a Lts, eq: Equivalence) -> Self {
-        Ctx::with_jobs(lts, eq, Jobs::serial())
-    }
-
-    fn with_jobs(lts: &'a Lts, eq: Equivalence, jobs: Jobs) -> Self {
         let (letters, names) = letter_table(lts);
         let closure = match eq {
             Equivalence::Weak => Some(TauClosure::compute(lts)),
@@ -210,7 +166,6 @@ impl<'a> Ctx<'a> {
         Ctx {
             lts,
             eq,
-            jobs,
             letters,
             names,
             closure,
@@ -231,11 +186,6 @@ impl<'a> Ctx<'a> {
     /// Computes the signatures of all states w.r.t. `p` into `sigs`,
     /// returning the total number of `(letter, block)` pairs written (the
     /// incremental input to the memory accounting).
-    ///
-    /// The strong/weak passes shard by state range and the branching pass
-    /// shards by condensed-SCC topological layer; every shard writes a
-    /// disjoint region and the result is identical to the sequential pass
-    /// at any worker count.
     fn compute(&self, p: &Partition, sigs: &mut [Signature]) -> usize {
         match self.eq {
             Equivalence::Strong => strong_signatures(self, p, sigs),
@@ -251,36 +201,6 @@ impl<'a> Ctx<'a> {
         self.compute(p, &mut sigs);
         sigs
     }
-}
-
-/// Runs `f(base_state_index, shard)` over `jobs`-sized disjoint shards of
-/// `sigs` on scoped threads, returning the summed pair counts. Shards are
-/// contiguous state ranges, so each invocation writes exactly the states it
-/// owns; with one worker the call degenerates to `f(0, sigs)` inline.
-fn shard_states<F>(jobs: Jobs, sigs: &mut [Signature], f: F) -> usize
-where
-    F: Fn(usize, &mut [Signature]) -> usize + Sync,
-{
-    let n = sigs.len();
-    let workers = jobs.for_items(n, SIG_MIN_CHUNK);
-    if workers == 1 {
-        return f(0, sigs);
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = sigs
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(i, shard)| {
-                let f = &f;
-                scope.spawn(move || f(i * chunk, shard))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .sum()
-    })
 }
 
 /// A signature: sorted, deduplicated `(letter, target block)` pairs.
@@ -310,20 +230,17 @@ pub(crate) fn letter_table(lts: &Lts) -> (Vec<u32>, Vec<String>) {
 }
 
 fn strong_signatures(ctx: &Ctx<'_>, p: &Partition, sigs: &mut [Signature]) -> usize {
-    shard_states(ctx.jobs, sigs, |base, shard| {
-        let mut pairs = 0;
-        for (off, sig) in shard.iter_mut().enumerate() {
-            let s = StateId((base + off) as u32);
-            sig.clear();
-            for t in ctx.lts.successors(s) {
-                sig.push((ctx.letters[t.action.index()], p.block_of(t.target).0));
-            }
-            sig.sort_unstable();
-            sig.dedup();
-            pairs += sig.len();
+    let mut pairs = 0;
+    for (i, sig) in sigs.iter_mut().enumerate() {
+        sig.clear();
+        for t in ctx.lts.successors(StateId(i as u32)) {
+            sig.push((ctx.letters[t.action.index()], p.block_of(t.target).0));
         }
-        pairs
-    })
+        sig.sort_unstable();
+        sig.dedup();
+        pairs += sig.len();
+    }
+    pairs
 }
 
 /// Branching (and divergence-sensitive branching) signatures.
@@ -345,9 +262,8 @@ fn branching_signatures(
     let lts = ctx.lts;
     let n = lts.num_states();
 
-    // Condense the inert-τ graph w.r.t. the current partition (sequential:
-    // Tarjan is a single DFS and also fixes the reverse-topological order
-    // the propagation below relies on).
+    // Condense the inert-τ graph w.r.t. the current partition; Tarjan also
+    // fixes the reverse-topological order the propagation below relies on.
     let cond = tarjan_scc(n, |s, out| {
         for t in lts.successors(s) {
             if ctx.is_tau(t.action) && p.same_block(s, t.target) {
@@ -360,9 +276,9 @@ fn branching_signatures(
     let mut scc_sig: Vec<Signature> = vec![Vec::new(); cond.num_sccs];
     let mut scc_div: Vec<bool> = vec![false; cond.num_sccs];
 
-    // Computes the signature and divergence flag of SCC `k`, reading only
-    // SCCs with smaller ids (its inert successors).
-    let scc_signature = |k: usize, scc_sig: &[Signature], scc_div: &[bool]| {
+    // Tarjan ids are reverse-topological: successors of SCC k have ids < k,
+    // so ascending order reads only final signatures of inert successors.
+    for k in 0..cond.num_sccs {
         let mut acc: Signature = Vec::new();
         let mut div = cond.cyclic[k];
         for &s in &members[k] {
@@ -387,97 +303,16 @@ fn branching_signatures(
         }
         acc.sort_unstable();
         acc.dedup();
-        (acc, div)
-    };
-
-    // Tarjan ids are reverse-topological: successors of SCC k have ids < k,
-    // so ascending order is a valid propagation order. For the parallel
-    // pass, SCCs are grouped into topological layers (layer = 1 + max layer
-    // of any inert successor SCC); within a layer SCCs only depend on
-    // earlier layers, so a layer can be computed by workers in any order —
-    // each writes its own slot, keyed by SCC id, hence deterministically.
-    if ctx.jobs.for_items(cond.num_sccs, SCC_MIN_CHUNK) == 1 {
-        for k in 0..cond.num_sccs {
-            let (sig, div) = scc_signature(k, &scc_sig, &scc_div);
-            scc_sig[k] = sig;
-            scc_div[k] = div;
-        }
-    } else {
-        let mut layer = vec![0u32; cond.num_sccs];
-        let mut num_layers = 0u32;
-        for k in 0..cond.num_sccs {
-            let mut l = 0u32;
-            for &s in &members[k] {
-                let bs = p.block_of(s);
-                for t in lts.successors(s) {
-                    if ctx.is_tau(t.action) && p.block_of(t.target) == bs {
-                        let succ_scc = cond.scc_of[t.target.index()].index();
-                        if succ_scc != k {
-                            l = l.max(layer[succ_scc] + 1);
-                        }
-                    }
-                }
-            }
-            layer[k] = l;
-            num_layers = num_layers.max(l + 1);
-        }
-        let mut layers: Vec<Vec<usize>> = vec![Vec::new(); num_layers as usize];
-        for k in 0..cond.num_sccs {
-            layers[layer[k] as usize].push(k);
-        }
-        for ks in &layers {
-            let workers = ctx.jobs.for_items(ks.len(), SCC_MIN_CHUNK);
-            if workers == 1 {
-                for &k in ks {
-                    let (sig, div) = scc_signature(k, &scc_sig, &scc_div);
-                    scc_sig[k] = sig;
-                    scc_div[k] = div;
-                }
-                continue;
-            }
-            let chunk = ks.len().div_ceil(workers);
-            let computed: Vec<Vec<(usize, Signature, bool)>> = std::thread::scope(|scope| {
-                let scc_sig = &scc_sig;
-                let scc_div = &scc_div;
-                let scc_signature = &scc_signature;
-                let handles: Vec<_> = ks
-                    .chunks(chunk)
-                    .map(|piece| {
-                        scope.spawn(move || {
-                            piece
-                                .iter()
-                                .map(|&k| {
-                                    let (sig, div) = scc_signature(k, scc_sig, scc_div);
-                                    (k, sig, div)
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                    .collect()
-            });
-            for (k, sig, div) in computed.into_iter().flatten() {
-                scc_sig[k] = sig;
-                scc_div[k] = div;
-            }
-        }
+        scc_sig[k] = acc;
+        scc_div[k] = div;
     }
 
-    // Per-state copy, sharded by state range.
-    let scc_sig = &scc_sig;
-    let cond = &cond;
-    shard_states(ctx.jobs, sigs, |base, shard| {
-        let mut pairs = 0;
-        for (off, sig) in shard.iter_mut().enumerate() {
-            let scc = cond.scc_of[base + off];
-            sig.clone_from(&scc_sig[scc.index()]);
-            pairs += sig.len();
-        }
-        pairs
-    })
+    let mut pairs = 0;
+    for (sig, scc) in sigs.iter_mut().zip(&cond.scc_of) {
+        sig.clone_from(&scc_sig[scc.index()]);
+        pairs += sig.len();
+    }
+    pairs
 }
 
 /// Weak signatures:
@@ -488,35 +323,33 @@ fn weak_signatures(ctx: &Ctx<'_>, p: &Partition, sigs: &mut [Signature]) -> usiz
         .closure
         .as_ref()
         .expect("weak signatures require the τ-closure");
-    shard_states(ctx.jobs, sigs, |base, shard| {
-        let mut pairs = 0;
-        for (off, sig) in shard.iter_mut().enumerate() {
-            let s = StateId((base + off) as u32);
-            sig.clear();
-            let bs = p.block_of(s);
-            for &w in closure.of(s) {
-                if p.block_of(w) != bs {
-                    sig.push((TAU_LETTER, p.block_of(w).0));
-                }
-                for t in lts.successors(w) {
-                    if !ctx.is_tau(t.action) {
-                        let letter = ctx.letters[t.action.index()];
-                        for &v in closure.of(t.target) {
-                            sig.push((letter, p.block_of(v).0));
-                        }
+    let mut pairs = 0;
+    for (i, sig) in sigs.iter_mut().enumerate() {
+        let s = StateId(i as u32);
+        sig.clear();
+        let bs = p.block_of(s);
+        for &w in closure.of(s) {
+            if p.block_of(w) != bs {
+                sig.push((TAU_LETTER, p.block_of(w).0));
+            }
+            for t in lts.successors(w) {
+                if !ctx.is_tau(t.action) {
+                    let letter = ctx.letters[t.action.index()];
+                    for &v in closure.of(t.target) {
+                        sig.push((letter, p.block_of(v).0));
                     }
                 }
             }
-            sig.sort_unstable();
-            sig.dedup();
-            pairs += sig.len();
         }
-        pairs
-    })
+        sig.sort_unstable();
+        sig.dedup();
+        pairs += sig.len();
+    }
+    pairs
 }
 
-/// One full-engine refinement round: recomputes signatures (possibly in
-/// parallel), then splits blocks sequentially. Returns the refined partition
+/// One full-engine refinement round: recomputes all signatures, then splits
+/// blocks. Returns the refined partition
 /// and the total signature pair count of the round (for incremental memory
 /// accounting).
 fn refine_once(
@@ -527,8 +360,7 @@ fn refine_once(
 ) -> Result<(Partition, usize), Exhausted> {
     let pairs = ctx.compute(p, sigs);
     // Split key = (previous block, signature) so refinement is monotone.
-    // The split stays sequential at any worker count: block ids are handed
-    // out in state order, which the deterministic signatures make stable.
+    // Block ids are handed out in state order.
     let mut ids: HashMap<(BlockId, &Signature), u32> = HashMap::new();
     let mut assignment = Vec::with_capacity(p.num_states());
     for s in ctx.lts.states() {
@@ -542,18 +374,14 @@ fn refine_once(
     Ok((Partition::new(assignment, num_blocks), pairs))
 }
 
-/// The reference engine: every round recomputes all signatures and splits
-/// every block.
-#[allow(clippy::too_many_arguments)]
+/// The reference engine behind [`oracle`]: every round recomputes all
+/// signatures and splits every block.
 fn run_full(
     lts: &Lts,
     eq: Equivalence,
     mut history: Option<&mut Vec<Partition>>,
     wd: &Watchdog,
-    jobs: Jobs,
     stats: Option<&mut RefineStats>,
-    persist: Option<&PersistHook>,
-    seed: Option<(Partition, u64)>,
 ) -> Result<Partition, Exhausted> {
     let n = lts.num_states();
     let span = bb_obs::span("bisim")
@@ -567,21 +395,9 @@ fn run_full(
     if n > MAX_STATES {
         return Err(meter.exhausted(ExhaustReason::StateCap));
     }
-    let ctx = Ctx::with_jobs(lts, eq, jobs);
+    let ctx = Ctx::new(lts, eq);
     let mut p = Partition::universal(n);
     let mut round = 0usize;
-    // A checkpoint seed replaces the universal start: each round is a pure
-    // function of the current partition, so re-entering at the checkpointed
-    // round converges to the identical fixpoint, block ids included.
-    // Seeding is disabled on history runs (the coarser prefix would be
-    // missing) — run_governed_opts never passes one then.
-    if let Some((sp, sr)) = seed {
-        debug_assert_eq!(sp.num_states(), n);
-        bb_obs::hot::CKPT_SEED_HITS.incr();
-        meter.note_refinement(sr, sp.num_blocks() as u64);
-        p = sp;
-        round = sr as usize;
-    }
     let mut sigs: Vec<Signature> = vec![Vec::new(); n];
     let mut rounds: Vec<Partition> = Vec::new();
     if history.is_some() {
@@ -590,7 +406,6 @@ fn run_full(
     // Peak live signature storage accounted so far.
     let mut mem_accounted = 0usize;
     loop {
-        round_fault(round + 1);
         let round_span = bb_obs::span("bisim.round")
             .with("round", round)
             .with("blocks_before", p.num_blocks());
@@ -620,9 +435,6 @@ fn run_full(
         debug_assert!(next.refines(&p), "refinement must be monotone");
         let stable = next.num_blocks() == p.num_blocks();
         p = next;
-        if let Some(h) = persist {
-            h.offer(round, stable, &|| p.clone());
-        }
         if history.is_some() {
             rounds.push(p.clone());
         }
@@ -653,9 +465,9 @@ fn run_full(
 
 /// Hash-consing arena of signatures, flat CSR layout: signature `i` is
 /// `pairs[offsets[i]..offsets[i+1]]`. Ids are assigned in interning order,
-/// which the engine keeps deterministic (sequential, worklists in state
-/// order), and two sig-ids are equal iff their pair vectors are equal — the
-/// split can compare two `u32`s instead of re-hashing vectors.
+/// which the engine keeps deterministic (worklists in state order, SCCs in
+/// position order), and two sig-ids are equal iff their pair vectors are
+/// equal — the split can compare two `u32`s instead of re-hashing vectors.
 struct SigArena {
     offsets: Vec<u32>,
     pairs: Vec<(u32, u32)>,
@@ -706,7 +518,7 @@ impl SigArena {
     /// this is a hand-rolled multiply-xorshift rather than `DefaultHasher`'s
     /// SipHash — a collision only costs an extra slice compare in the bucket
     /// chain, never correctness, and the mix is a pure function of the
-    /// pairs, so results stay identical across runs and worker counts.
+    /// pairs, so results stay identical across runs.
     fn hash_of(sig: &[(u32, u32)]) -> u64 {
         let mut h: u64 = 0x9E37_79B9_7F4A_7C15 ^ (sig.len() as u64);
         for &(a, b) in sig {
@@ -721,14 +533,7 @@ impl SigArena {
 
     /// Returns the id of `sig`, appending it to the arena if unseen.
     fn intern(&mut self, sig: &[(u32, u32)]) -> u32 {
-        self.intern_hashed(sig, Self::hash_of(sig))
-    }
-
-    /// [`Self::intern`] with the hash precomputed — the sharded branching
-    /// sweep hashes signatures on the workers so the sequential merge only
-    /// pays the bucket probe.
-    fn intern_hashed(&mut self, sig: &[(u32, u32)], h: u64) -> u32 {
-        debug_assert_eq!(h, Self::hash_of(sig));
+        let h = Self::hash_of(sig);
         if let Some(ids) = self.buckets.get(&h) {
             for &id in ids {
                 if self.get(id) == sig {
@@ -755,16 +560,6 @@ impl SigArena {
         self.pairs.len() * std::mem::size_of::<(u32, u32)>()
             + self.offsets.len() * std::mem::size_of::<u32>()
     }
-}
-
-/// Per-worker scratch for the split's grouping pass: a direct index from
-/// dense sig-ids to the group slot within the current block, invalidated in
-/// O(1) by bumping `epoch` instead of clearing.
-struct SplitScratch {
-    /// `stamp[sid] == epoch` ⇔ `slot[sid]` is valid for the current block.
-    stamp: Vec<u32>,
-    slot: Vec<u32>,
-    epoch: u32,
 }
 
 /// The inert-τ SCC condensation maintained across rounds by the branching
@@ -831,7 +626,7 @@ struct Incremental<'c, 'a> {
     /// Member states of each block, in state order.
     members: Vec<Vec<StateId>>,
     arena: SigArena,
-    /// Interned signature of each state (`NO_SIG` before round 0).
+    /// Interned signature of each state (`NO_SIG` before the first round).
     sig_id: Vec<u32>,
     /// States whose sig-id changed this round (input to the split).
     changed: Vec<StateId>,
@@ -844,19 +639,22 @@ struct Incremental<'c, 'a> {
 }
 
 impl<'c, 'a> Incremental<'c, 'a> {
-    fn new(ctx: &'c Ctx<'a>) -> Self {
+    /// An engine starting from `start` — the universal partition, or a
+    /// checkpoint seed. Its labels become the stable labels; no signature
+    /// is known yet, so the first round recomputes every state.
+    fn new(ctx: &'c Ctx<'a>, start: &Partition) -> Self {
         let lts = ctx.lts;
         let n = lts.num_states();
+        let mut members: Vec<Vec<StateId>> = vec![Vec::new(); start.num_blocks()];
+        for s in lts.states() {
+            members[start.block_of(s).index()].push(s);
+        }
         Incremental {
             ctx,
             preds: lts.predecessor_table(),
-            block_of: vec![0u32; n],
-            num_blocks: usize::from(n != 0),
-            members: if n == 0 {
-                Vec::new()
-            } else {
-                vec![(0..n as u32).map(StateId).collect()]
-            },
+            block_of: start.assignment().iter().map(|b| b.0).collect(),
+            num_blocks: start.num_blocks(),
+            members,
             arena: SigArena::new(),
             sig_id: vec![NO_SIG; n],
             changed: Vec::new(),
@@ -866,13 +664,14 @@ impl<'c, 'a> Incremental<'c, 'a> {
         }
     }
 
-    /// Runs one round: recompute dirty signatures, then split the affected
-    /// blocks. Returns `(dirty_states, recomputed_states)`.
-    fn round(&mut self, meter: &mut Meter, round: usize) -> Result<(u64, u64), Exhausted> {
+    /// Runs one round: recompute dirty signatures (every signature on the
+    /// `first` round), then split the affected blocks. Returns
+    /// `(dirty_states, recomputed_states)`.
+    fn round(&mut self, meter: &mut Meter, first: bool) -> Result<(u64, u64), Exhausted> {
         let counts = match self.ctx.eq {
-            Equivalence::Strong | Equivalence::Weak => self.round_flat(meter, round)?,
+            Equivalence::Strong | Equivalence::Weak => self.round_flat(meter, first)?,
             Equivalence::Branching | Equivalence::BranchingDiv => {
-                self.round_branching(meter, round)?
+                self.round_branching(meter, first)?
             }
         };
         self.split(meter)?;
@@ -887,10 +686,10 @@ impl<'c, 'a> Incremental<'c, 'a> {
 
     // ------------------------------------------------ strong/weak rounds
 
-    fn round_flat(&mut self, meter: &mut Meter, round: usize) -> Result<(u64, u64), Exhausted> {
+    fn round_flat(&mut self, meter: &mut Meter, first: bool) -> Result<(u64, u64), Exhausted> {
         let lts = self.ctx.lts;
-        let worklist: Vec<StateId> = if round == 0 {
-            (0..lts.num_states() as u32).map(StateId).collect()
+        let worklist: Vec<StateId> = if first {
+            lts.states().collect()
         } else if self.ctx.eq == Equivalence::Weak {
             self.weak_worklist()
         } else {
@@ -898,10 +697,11 @@ impl<'c, 'a> Incremental<'c, 'a> {
         };
         let edges: usize = worklist.iter().map(|&s| lts.successors(s).len()).sum();
         meter.add_transitions(edges)?;
-        let sigs = self.flat_sigs(&worklist);
-        for (i, &s) in worklist.iter().enumerate() {
+        let mut sig: Vec<(u32, u32)> = Vec::new();
+        for &s in &worklist {
             meter.tick()?;
-            let sid = self.arena.intern(&sigs[i]);
+            self.flat_sig_into(s, &mut sig);
+            let sid = self.arena.intern(&sig);
             if self.sig_id[s.index()] != sid {
                 self.sig_id[s.index()] = sid;
                 self.changed.push(s);
@@ -913,92 +713,32 @@ impl<'c, 'a> Incremental<'c, 'a> {
 
     /// Dirty states for strong bisimulation: a signature references only the
     /// blocks of direct successors, so exactly the moved states and their
-    /// predecessors can change.
-    ///
-    /// Sharded by id range over the moved set: each worker emits its chunk's
-    /// states plus their predecessors without global deduplication, and the
-    /// ordered merge (sort + dedup) reproduces `moved ∪ pred(moved)` in
-    /// ascending state order — the exact sequential result at any worker
-    /// count.
+    /// predecessors can change. Returned in ascending state order.
     fn strong_worklist(&self) -> Vec<StateId> {
-        let workers = self.ctx.jobs.for_items(self.moved.len(), SIG_MIN_CHUNK);
-        let mut out: Vec<StateId> = if workers == 1 {
-            let mut local: Vec<StateId> = Vec::with_capacity(self.moved.len());
-            for &m in &self.moved {
-                local.push(m);
-                local.extend(self.preds.of(m).iter().map(|&(u, _)| u));
-            }
-            local
-        } else {
-            let chunk = self.moved.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .moved
-                    .chunks(chunk)
-                    .map(|piece| {
-                        scope.spawn(move || {
-                            let mut local: Vec<StateId> = Vec::with_capacity(piece.len());
-                            for &m in piece {
-                                local.push(m);
-                                local.extend(self.preds.of(m).iter().map(|&(u, _)| u));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                    .collect()
-            })
-        };
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Dirty states for weak bisimulation. A weak signature of `s` reads the
-    /// blocks of everything in `⇒ →a ⇒` reach of `s`, so with `A` the
-    /// τ-backward closure of the moved set, the dirty set is the τ-backward
-    /// closure of `moved ∪ pred(A)`: a moved state `m` can sit behind a
-    /// visible step (`w →a t ⇒ m` with `w` τ-reachable backwards) — the
-    /// inner closure before taking predecessors is what catches `t`.
-    fn weak_worklist(&self) -> Vec<StateId> {
-        let workers = self.ctx.jobs.for_items(self.moved.len(), SIG_MIN_CHUNK);
-        if workers == 1 {
-            return self.weak_worklist_from(&self.moved);
+        let mut out: Vec<StateId> = Vec::with_capacity(self.moved.len());
+        for &m in &self.moved {
+            out.push(m);
+            out.extend(self.preds.of(m).iter().map(|&(u, _)| u));
         }
-        // Backward closures distribute over unions, so each worker runs the
-        // full three-phase closure on its own id-range shard of the moved
-        // set; the ordered merge (sort + dedup) of the per-shard closures is
-        // exactly the closure of the whole set, independent of the worker
-        // count.
-        let chunk = self.moved.len().div_ceil(workers);
-        let mut out: Vec<StateId> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .moved
-                .chunks(chunk)
-                .map(|piece| scope.spawn(move || self.weak_worklist_from(piece)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        });
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    /// The three-phase τ-backward closure of one moved-set shard (see
-    /// [`Self::weak_worklist`] for the set being computed).
-    fn weak_worklist_from(&self, moved: &[StateId]) -> Vec<StateId> {
+    /// Dirty states for weak bisimulation, in ascending state order. A weak
+    /// signature of `s` reads the blocks of everything in `⇒ →a ⇒` reach of
+    /// `s`, so with `A` the τ-backward closure of the moved set, the dirty
+    /// set is the τ-backward closure of `moved ∪ pred(A)`: a moved state `m`
+    /// can sit behind a visible step (`w →a t ⇒ m` with `w` τ-reachable
+    /// backwards) — the inner closure before taking predecessors is what
+    /// catches `t`.
+    fn weak_worklist(&self) -> Vec<StateId> {
         let ctx = self.ctx;
         let n = ctx.lts.num_states();
         let mut seen = vec![false; n];
         let mut out: Vec<StateId> = Vec::new();
         let mut stack: Vec<StateId> = Vec::new();
-        for &m in moved {
+        for &m in &self.moved {
             if !seen[m.index()] {
                 seen[m.index()] = true;
                 out.push(m);
@@ -1041,35 +781,19 @@ impl<'c, 'a> Incremental<'c, 'a> {
         out
     }
 
-    /// Computes raw signatures for a worklist, sharding across workers when
-    /// the list is large. Each item is independent, so the result is
-    /// identical at any worker count; interning stays sequential.
-    fn flat_sigs(&self, worklist: &[StateId]) -> Vec<Vec<(u32, u32)>> {
-        let workers = self.ctx.jobs.for_items(worklist.len(), SIG_MIN_CHUNK);
-        if workers == 1 {
-            return worklist.iter().map(|&s| self.flat_sig_of(s)).collect();
-        }
-        let chunk = worklist.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = worklist
-                .chunks(chunk)
-                .map(|piece| scope.spawn(move || piece.iter().map(|&s| self.flat_sig_of(s)).collect::<Vec<_>>()))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        })
-    }
-
-    fn flat_sig_of(&self, s: StateId) -> Vec<(u32, u32)> {
+    /// Writes the strong or weak signature of `s` (sorted, deduplicated)
+    /// into `sig`, replacing its contents.
+    fn flat_sig_into(&self, s: StateId, sig: &mut Vec<(u32, u32)>) {
         let ctx = self.ctx;
         let lts = ctx.lts;
-        let mut sig: Vec<(u32, u32)> = Vec::new();
+        sig.clear();
         match ctx.eq {
             Equivalence::Strong => {
                 for t in lts.successors(s) {
-                    sig.push((ctx.letters[t.action.index()], self.block_of[t.target.index()]));
+                    sig.push((
+                        ctx.letters[t.action.index()],
+                        self.block_of[t.target.index()],
+                    ));
                 }
             }
             Equivalence::Weak => {
@@ -1099,20 +823,15 @@ impl<'c, 'a> Incremental<'c, 'a> {
         }
         sig.sort_unstable();
         sig.dedup();
-        sig
     }
 
     // ------------------------------------------------- branching rounds
 
-    fn round_branching(
-        &mut self,
-        meter: &mut Meter,
-        round: usize,
-    ) -> Result<(u64, u64), Exhausted> {
+    fn round_branching(&mut self, meter: &mut Meter, first: bool) -> Result<(u64, u64), Exhausted> {
         let n = self.ctx.lts.num_states();
         let mut pending: Vec<u32> = Vec::new();
-        let mut rebuilt = round == 0;
-        if round == 0 {
+        let mut rebuilt = first;
+        if first {
             self.rebuild_condensation();
         } else {
             let affected = self.affected_sccs();
@@ -1124,9 +843,8 @@ impl<'c, 'a> Incremental<'c, 'a> {
                     .iter()
                     .map(|&k| cond.members_of(k as usize).len())
                     .sum();
-                // Pure, jobs-independent threshold: when the flipped region
-                // covers a large share of the LTS, a fresh Tarjan pass is
-                // cheaper than many regional ones.
+                // When the flipped region covers a large share of the LTS,
+                // a fresh Tarjan pass is cheaper than many regional ones.
                 if affected_states * 2 > n {
                     self.rebuild_condensation();
                     rebuilt = true;
@@ -1298,260 +1016,88 @@ impl<'c, 'a> Incremental<'c, 'a> {
         }
     }
 
-    /// Recomputes the pending SCCs in reverse-topological position order,
-    /// propagating to inert-τ predecessor SCCs when a signature changed.
-    ///
-    /// The heap is drained in *batches*: each batch is the longest
-    /// dependency-free prefix of the heap in ascending position order — an
-    /// SCC joins only when none of its external inert successors is already
-    /// in the batch, so every batch member reads exclusively signatures
-    /// finalized before the batch started. Batch signature computation is a
-    /// pure read of that finalized state and fans out across `jobs` workers;
-    /// the merge (metering, interning, sig-id updates, propagation) runs
-    /// sequentially in position order. The batch boundary is a pure function
-    /// of the heap contents, and `jobs` only parallelizes the computation
-    /// *within* a batch, so partitions, histories, and meter accounting are
-    /// bit-identical at any worker count.
-    ///
-    /// One wrinkle the serial drain did not have: a batch can finalize an
-    /// SCC at position `q` while a later propagation wakes an SCC at a
-    /// position `p < q` that `q` reads. The merge detects that out-of-order
-    /// wake-up (`done` already set on a propagation target) and re-queues
-    /// the stale reader, which converges to the serial fixpoint because the
-    /// inert-successor DAG is acyclic and each recomputation reads strictly
-    /// fresher successor signatures. Returns the number of member states
-    /// recomputed.
+    /// Recomputes the pending SCCs one at a time in ascending
+    /// reverse-topological position, propagating to inert-τ predecessor SCCs
+    /// when a signature changed. A predecessor reads this SCC's signature,
+    /// so it sits at a higher position: every wake-up lands ahead of the
+    /// cursor, each SCC is recomputed at most once per sweep, and it is
+    /// recomputed only after all of its inert successors are final. Returns
+    /// the number of member states recomputed.
     fn sweep(&mut self, pending: Vec<u32>, meter: &mut Meter) -> Result<u64, Exhausted> {
         let ctx = self.ctx;
         let lts = ctx.lts;
-        let num_sccs = self.cond.as_ref().expect("condensation exists").num_sccs();
-        let mut done = vec![false; num_sccs];
-        let mut in_batch = vec![false; num_sccs];
-        // The queue, indexed by reverse-topological *position*: positions
-        // are dense and fixed for the duration of one sweep, so a bitset
-        // plus an ascending cursor replaces the former binary heap (whose
-        // pops dominated round profiles at ~25%). The cursor only moves
-        // backwards on an out-of-order wake-up, so the drain order — and
-        // with it every batch boundary, merge order, and meter charge — is
-        // exactly the heap's ascending-position order.
-        let order_len = self.cond.as_ref().expect("condensation exists").order.len();
-        let mut pending_pos = vec![false; order_len];
-        let mut cursor = order_len;
-        {
-            let cond = self.cond.as_ref().expect("condensation exists");
-            for k in pending {
-                let pp = cond.pos[k as usize] as usize;
-                if !pending_pos[pp] {
-                    pending_pos[pp] = true;
-                    cursor = cursor.min(pp);
-                }
-            }
+        let cond = self.cond.as_mut().expect("condensation exists");
+        // The queue, indexed by position: positions are dense and fixed for
+        // the duration of one sweep, so a bitset plus an ascending cursor
+        // replaces a binary heap.
+        let mut queued = vec![false; cond.order.len()];
+        let mut start = cond.order.len();
+        for k in pending {
+            let pos = cond.pos[k as usize] as usize;
+            queued[pos] = true;
+            start = start.min(pos);
         }
         let mut recomputed = 0u64;
-        let mut batch: Vec<u32> = Vec::new();
-        // Signature staging, reused across batches: `flat` holds the
-        // concatenated sorted signatures of one batch, `metas` one
-        // `(scc, end offset in flat, hash, divergence, edges)` per admitted
-        // SCC — no per-SCC allocation on the hot path.
-        let mut flat: Vec<(u32, u32)> = Vec::new();
-        let mut metas: Vec<(u32, usize, u64, bool, usize)> = Vec::new();
-        while cursor < order_len {
-            // ---- batch collection (sequential, jobs-independent) ----
-            batch.clear();
-            {
-                let cond = self.cond.as_ref().expect("condensation exists");
-                while cursor < order_len {
-                    if !pending_pos[cursor] {
-                        cursor += 1;
-                        continue;
-                    }
-                    let k = cond.order[cursor];
-                    let ku = k as usize;
-                    // The queue minimum never depends on an empty batch, so
-                    // the first admission of every batch skips the edge scan.
-                    let depends_on_batch = !batch.is_empty() && cond.members_of(ku).iter().any(|&s| {
-                        let bs = self.block_of[s.index()];
-                        lts.successors(s).iter().any(|t| {
-                            ctx.is_tau(t.action)
-                                && self.block_of[t.target.index()] == bs
-                                && {
-                                    let ks = cond.scc_of[t.target.index()] as usize;
-                                    ks != ku && in_batch[ks]
-                                }
-                        })
-                    });
-                    if depends_on_batch {
-                        // Non-empty by the guard above.
-                        break;
-                    }
-                    pending_pos[cursor] = false;
-                    cursor += 1;
-                    in_batch[ku] = true;
-                    batch.push(k);
-                }
-            }
-            if batch.is_empty() {
+        let mut sig: Vec<(u32, u32)> = Vec::new();
+        for cursor in start..cond.order.len() {
+            if !queued[cursor] {
                 continue;
             }
-            // ---- signature computation (parallel, pure reads) ----
-            let divergence = self.divergence;
-            let cond_ref: &CondState = self.cond.as_ref().expect("condensation exists");
-            let block_of = &self.block_of;
-            let arena = &self.arena;
-            // Appends the signature of `k` (sorted, deduped) to `out`,
-            // returning its hash, divergence flag and member edge count.
-            let sig_into = |k: u32, out: &mut Vec<(u32, u32)>| -> (u64, bool, usize) {
-                let ku = k as usize;
-                let start = out.len();
-                let mut div = cond_ref.cyclic[ku];
-                let mut edges = 0usize;
-                for &s in cond_ref.members_of(ku) {
-                    let bs = block_of[s.index()];
-                    let succs = lts.successors(s);
-                    edges += succs.len();
-                    for t in succs {
-                        let bt = block_of[t.target.index()];
-                        if ctx.is_tau(t.action) && bt == bs {
-                            let ks = cond_ref.scc_of[t.target.index()] as usize;
-                            if ks != ku {
-                                debug_assert_ne!(
-                                    cond_ref.scc_sig[ks], NO_SIG,
-                                    "inert successors are final before their predecessors"
-                                );
-                                out.extend_from_slice(arena.get(cond_ref.scc_sig[ks]));
-                                div |= cond_ref.scc_div[ks];
-                            }
-                        } else {
-                            out.push((ctx.letters[t.action.index()], bt));
+            let ku = cond.order[cursor] as usize;
+            sig.clear();
+            let mut div = cond.cyclic[ku];
+            let mut edges = 0usize;
+            for &s in cond.members_of(ku) {
+                let bs = self.block_of[s.index()];
+                let succs = lts.successors(s);
+                edges += succs.len();
+                for t in succs {
+                    let bt = self.block_of[t.target.index()];
+                    if ctx.is_tau(t.action) && bt == bs {
+                        let ks = cond.scc_of[t.target.index()] as usize;
+                        if ks != ku {
+                            debug_assert_ne!(
+                                cond.scc_sig[ks], NO_SIG,
+                                "inert successors are final before their predecessors"
+                            );
+                            sig.extend_from_slice(self.arena.get(cond.scc_sig[ks]));
+                            div |= cond.scc_div[ks];
                         }
+                    } else {
+                        sig.push((ctx.letters[t.action.index()], bt));
                     }
-                }
-                if divergence && div {
-                    out.push((DIV_LETTER, 0));
-                }
-                out[start..].sort_unstable();
-                // In-place tail dedup (`Vec::dedup` would rescan the whole
-                // buffer, which holds earlier signatures of this batch).
-                let mut w = start;
-                for r in start..out.len() {
-                    if w == start || out[r] != out[w - 1] {
-                        out[w] = out[r];
-                        w += 1;
-                    }
-                }
-                out.truncate(w);
-                let hash = SigArena::hash_of(&out[start..]);
-                (hash, div, edges)
-            };
-            let workers = ctx.jobs.for_items(batch.len(), SCC_MIN_CHUNK);
-            flat.clear();
-            metas.clear();
-            if workers == 1 {
-                for &k in &batch {
-                    let (hash, div, edges) = sig_into(k, &mut flat);
-                    metas.push((k, flat.len(), hash, div, edges));
-                }
-            } else {
-                let chunk = batch.len().div_ceil(workers);
-                if bb_obs::enabled() {
-                    // Chunks are equal-sized in SCCs but not in member
-                    // states; record the state-count skew of this fan-out.
-                    let loads: Vec<usize> = batch
-                        .chunks(chunk)
-                        .map(|c| c.iter().map(|&k| cond_ref.members_of(k as usize).len()).sum())
-                        .collect();
-                    let total: usize = loads.iter().sum();
-                    if total > 0 && loads.len() > 1 {
-                        let mean = total / loads.len();
-                        let max = *loads.iter().max().expect("non-empty");
-                        bb_obs::hot::REFINE_SHARD_IMBALANCE
-                            .record((max * 100 / mean.max(1)) as u64);
-                    }
-                }
-                type Part = (Vec<(u32, u32)>, Vec<(u32, usize, u64, bool, usize)>);
-                let parts: Vec<Part> = std::thread::scope(|scope| {
-                    let sig_into = &sig_into;
-                    let handles: Vec<_> = batch
-                        .chunks(chunk)
-                        .map(|piece| {
-                            scope.spawn(move || {
-                                let mut local: Vec<(u32, u32)> = Vec::new();
-                                let mut meta = Vec::with_capacity(piece.len());
-                                for &k in piece {
-                                    let (hash, div, edges) = sig_into(k, &mut local);
-                                    meta.push((k, local.len(), hash, div, edges));
-                                }
-                                (local, meta)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                        .collect()
-                });
-                // Concatenation in chunk order reproduces the serial layout
-                // exactly, so the merge below is worker-count-invariant.
-                for (local, meta) in parts {
-                    let off = flat.len();
-                    flat.extend_from_slice(&local);
-                    metas.extend(
-                        meta.into_iter().map(|(k, end, h, d, e)| (k, end + off, h, d, e)),
-                    );
                 }
             }
-            // ---- merge (sequential, ascending position order) ----
-            let cond = self.cond.as_mut().expect("condensation exists");
-            let mut sig_start = 0usize;
-            for &(k, sig_end, hash, div, edges) in &metas {
-                let sig = &flat[sig_start..sig_end];
-                sig_start = sig_end;
-                let ku = k as usize;
-                in_batch[ku] = false;
-                done[ku] = true;
-                // Amortized clock check: a forced per-SCC clock read here
-                // profiled at several percent of every round. The cap check
-                // stays exact and the call sequence is merge-order (hence
-                // jobs-) invariant.
-                meter.add_transitions_ticked(edges)?;
-                recomputed += cond.members_of(ku).len() as u64;
-                let sid = self.arena.intern_hashed(sig, hash);
-                let sig_changed = sid != cond.scc_sig[ku];
-                cond.scc_sig[ku] = sid;
-                cond.scc_div[ku] = div;
-                for &s in cond.members_of(ku) {
-                    if self.sig_id[s.index()] != sid {
-                        self.sig_id[s.index()] = sid;
-                        self.changed.push(s);
-                    }
+            if self.divergence && div {
+                sig.push((DIV_LETTER, 0));
+            }
+            sig.sort_unstable();
+            sig.dedup();
+            // Amortized clock check: a forced per-SCC clock read here
+            // profiled at several percent of every round. The cap check
+            // stays exact.
+            meter.add_transitions_ticked(edges)?;
+            recomputed += cond.members_of(ku).len() as u64;
+            let sid = self.arena.intern(&sig);
+            let sig_changed = sid != cond.scc_sig[ku];
+            cond.scc_sig[ku] = sid;
+            cond.scc_div[ku] = div;
+            for &s in cond.members_of(ku) {
+                if self.sig_id[s.index()] != sid {
+                    self.sig_id[s.index()] = sid;
+                    self.changed.push(s);
                 }
-                if sig_changed {
-                    for &s in cond.members_of(ku) {
-                        let bs = self.block_of[s.index()];
-                        for &(u, a) in self.preds.of(s) {
-                            if ctx.is_tau(a) && self.block_of[u.index()] == bs {
-                                let kp = cond.scc_of[u.index()] as usize;
-                                if kp == ku {
-                                    continue;
-                                }
-                                // A target inside the current batch is
-                                // impossible: admission rejects an SCC whose
-                                // external inert successor is in the batch,
-                                // and `kp`'s inert successor is this SCC.
-                                debug_assert!(!in_batch[kp]);
-                                let pp = cond.pos[kp] as usize;
-                                if !pending_pos[pp] {
-                                    // Either a first wake-up, or (`done`
-                                    // set) an out-of-order one: `kp` was
-                                    // finalized in an earlier batch against
-                                    // this SCC's pre-update signature.
-                                    // Re-queue it — possibly behind the
-                                    // cursor — so a later batch recomputes
-                                    // it against the new value.
-                                    done[kp] = false;
-                                    pending_pos[pp] = true;
-                                    cursor = cursor.min(pp);
-                                }
+            }
+            if sig_changed {
+                for &s in cond.members_of(ku) {
+                    let bs = self.block_of[s.index()];
+                    for &(u, a) in self.preds.of(s) {
+                        if ctx.is_tau(a) && self.block_of[u.index()] == bs {
+                            let kp = cond.scc_of[u.index()] as usize;
+                            if kp != ku {
+                                let pos = cond.pos[kp] as usize;
+                                debug_assert!(pos > cursor, "wake-ups land ahead of the cursor");
+                                queued[pos] = true;
                             }
                         }
                     }
@@ -1565,16 +1111,8 @@ impl<'c, 'a> Incremental<'c, 'a> {
 
     /// Splits every block containing a state whose sig-id changed. Within a
     /// block, states group by sig-id in member (= state) order; the group of
-    /// the first member keeps the block's id, the rest get fresh labels and
-    /// become the next round's moved set.
-    ///
-    /// Sharded in two phases: grouping a block is a pure function of its
-    /// member list and the sig-id table, so the candidate blocks fan out
-    /// across workers; label assignment stays sequential in ascending block
-    /// order because a fresh id depends on how many blocks split before this
-    /// one. Meter ticks move with the merge (one per member of each
-    /// multi-member candidate block, in block order), so budget accounting
-    /// is identical at any worker count.
+    /// the first member keeps the block's id, the rest get fresh labels in
+    /// ascending block order and become the next round's moved set.
     fn split(&mut self, meter: &mut Meter) -> Result<(), Exhausted> {
         self.moved.clear();
         if self.changed.is_empty() {
@@ -1588,76 +1126,41 @@ impl<'c, 'a> Incremental<'c, 'a> {
         blocks.sort_unstable();
         blocks.dedup();
         self.changed.clear();
-        // ---- grouping (parallel, pure reads); `None` = block keeps its
-        // members (singleton or no sig-id boundary inside it) ----
-        //
         // Grouping indexes states by interned sig-id. Sig-ids are dense
-        // arena indices, so an epoch-stamped direct-index scratch (one slot
-        // per sig-id, bumped epoch per block) replaces the former per-block
-        // `HashMap` — no hashing, no per-block allocation. Each worker owns
-        // one scratch; the grouping itself is unchanged, so group order (and
-        // with it every label) is identical at any worker count.
+        // arena indices, so an epoch-stamped direct index (one slot per
+        // sig-id, `stamp[sid] == epoch` ⇔ `slot[sid]` is valid for the
+        // current block) replaces a per-block `HashMap` — no hashing, no
+        // clearing between blocks.
         let num_sigs = self.arena.len();
-        let group = |scratch: &mut SplitScratch, b: u32| -> Option<Vec<Vec<StateId>>> {
+        let mut stamp = vec![0u32; num_sigs];
+        let mut slot = vec![0u32; num_sigs];
+        let mut epoch = 0u32;
+        for b in blocks {
             let mem = &self.members[b as usize];
             if mem.len() <= 1 {
-                return None;
+                continue;
             }
-            scratch.epoch += 1;
+            for _ in 0..mem.len() {
+                meter.tick()?;
+            }
+            epoch += 1;
             let mut groups: Vec<Vec<StateId>> = Vec::new();
             for &s in mem {
                 let sid = self.sig_id[s.index()] as usize;
-                debug_assert!(sid < num_sigs, "split after a full round 0 sweep");
-                let gi = if scratch.stamp[sid] == scratch.epoch {
-                    scratch.slot[sid] as usize
+                debug_assert!(sid < num_sigs, "split after a full first-round sweep");
+                let gi = if stamp[sid] == epoch {
+                    slot[sid] as usize
                 } else {
-                    scratch.stamp[sid] = scratch.epoch;
-                    scratch.slot[sid] = groups.len() as u32;
+                    stamp[sid] = epoch;
+                    slot[sid] = groups.len() as u32;
                     groups.push(Vec::new());
                     groups.len() - 1
                 };
                 groups[gi].push(s);
             }
-            (groups.len() > 1).then_some(groups)
-        };
-        let new_scratch = || SplitScratch {
-            stamp: vec![0; num_sigs],
-            slot: vec![0; num_sigs],
-            epoch: 0,
-        };
-        let workers = self.ctx.jobs.for_items(blocks.len(), SPLIT_MIN_CHUNK);
-        let grouped: Vec<Option<Vec<Vec<StateId>>>> = if workers == 1 {
-            let mut scratch = new_scratch();
-            blocks.iter().map(|&b| group(&mut scratch, b)).collect()
-        } else {
-            let chunk = blocks.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let group = &group;
-                let new_scratch = &new_scratch;
-                let handles: Vec<_> = blocks
-                    .chunks(chunk)
-                    .map(|piece| {
-                        scope.spawn(move || {
-                            let mut scratch = new_scratch();
-                            piece.iter().map(|&b| group(&mut scratch, b)).collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                    .collect()
-            })
-        };
-        // ---- label assignment (sequential, ascending block order) ----
-        for (&b, groups) in blocks.iter().zip(grouped) {
-            let len = self.members[b as usize].len();
-            if len > 1 {
-                for _ in 0..len {
-                    meter.tick()?;
-                }
+            if groups.len() == 1 {
+                continue;
             }
-            let Some(groups) = groups else { continue };
             let mut iter = groups.into_iter();
             self.members[b as usize] = iter.next().expect("at least one group");
             for g in iter {
@@ -1674,17 +1177,51 @@ impl<'c, 'a> Incremental<'c, 'a> {
     }
 }
 
-/// The incremental engine (see the module docs and DESIGN.md § "Incremental
-/// refinement").
-fn run_incremental(
+/// Every refinement call in the workspace funnels through here, so this is
+/// the one place checkpointing hooks in.
+fn run(
+    lts: &Lts,
+    eq: Equivalence,
+    history: Option<&mut Vec<Partition>>,
+    wd: &Watchdog,
+    stats: Option<&mut RefineStats>,
+) -> Result<Partition, Exhausted> {
+    // `begin_refine` is called exactly once per call — even when its seed
+    // is unusable — so the sink's call counter stays aligned with the
+    // pre-crash run.
+    let hook = bb_obs::persist_sink().map(|sink| PersistHook {
+        sink,
+        fingerprint: snapshot::refine_fingerprint(lts, eq),
+    });
+    let seed = hook.as_ref().and_then(|h| {
+        let payload = h.sink.begin_refine(h.fingerprint)?;
+        // History runs need the full coarsest-first prefix, which a seeded
+        // run skips — never seed those.
+        if history.is_some() {
+            return None;
+        }
+        snapshot::decode_round(&payload).filter(|(p, _)| p.num_states() == lts.num_states())
+    });
+    run_from(lts, eq, history, wd, stats, hook.as_ref(), seed)
+}
+
+/// The production engine (see the module docs and DESIGN.md § "Incremental
+/// refinement"), started from the universal partition or from a checkpoint
+/// `seed` `(partition, completed rounds)`, offering each completed round to
+/// `persist`.
+fn run_from(
     lts: &Lts,
     eq: Equivalence,
     mut history: Option<&mut Vec<Partition>>,
     wd: &Watchdog,
-    jobs: Jobs,
     stats: Option<&mut RefineStats>,
     persist: Option<&PersistHook>,
+    seed: Option<(Partition, u64)>,
 ) -> Result<Partition, Exhausted> {
+    debug_assert!(
+        seed.is_none() || history.is_none(),
+        "a seeded run has no history prefix"
+    );
     let n = lts.num_states();
     let span = bb_obs::span("bisim")
         .with("eq", format!("{eq:?}"))
@@ -1695,14 +1232,26 @@ fn run_incremental(
     if n > MAX_STATES {
         return Err(meter.exhausted(ExhaustReason::StateCap));
     }
-    let ctx = Ctx::with_jobs(lts, eq, jobs);
-    let mut eng = Incremental::new(&ctx);
+    let ctx = Ctx::new(lts, eq);
+    // A checkpoint seed replaces the universal start. Each round is a pure
+    // function of the current partition, and the first round recomputes
+    // every signature, so re-entering at the checkpointed round is exactly
+    // the full engine's next round: the run converges to the identical
+    // fixpoint, block ids and round count included.
+    let (mut eng, start) = match seed {
+        Some((p, r)) => {
+            bb_obs::hot::CKPT_SEED_HITS.incr();
+            meter.note_refinement(r, p.num_blocks() as u64);
+            (Incremental::new(&ctx, &p), r as usize)
+        }
+        None => (Incremental::new(&ctx, &Partition::universal(n)), 0),
+    };
     let mut rounds: Vec<Partition> = Vec::new();
     if history.is_some() {
         rounds.push(Partition::universal(n));
     }
     let mut mem_accounted = 0usize;
-    let mut round = 0usize;
+    let mut round = start;
     let mut total_recomputed = 0u64;
     let mut total_dirty = 0u64;
     loop {
@@ -1710,7 +1259,7 @@ fn run_incremental(
         let round_span = bb_obs::span("bisim.round")
             .with("round", round)
             .with("blocks_before", eng.num_blocks);
-        let (dirty, recomputed) = eng.round(&mut meter, round)?;
+        let (dirty, recomputed) = eng.round(&mut meter, round == start)?;
         bb_obs::hot::SIG_ROUNDS.incr();
         bb_obs::hot::SIG_STATE_RECOMPUTES.add(recomputed);
         bb_obs::hot::SIG_DIRTY_STATES.add(dirty);
@@ -1720,9 +1269,9 @@ fn run_incremental(
         round_span.record("dirty", dirty);
         drop(round_span);
         round += 1;
-        // As in `run_full`: note the completed round before the memory
-        // charge, so a boundary trip reports this round and a mid-round trip
-        // reports the previous one (or nothing before round 1 completes).
+        // Note the completed round before the memory charge, so a boundary
+        // trip reports this round and a mid-round trip reports the previous
+        // one (or nothing before round 1 completes).
         meter.note_refinement(round as u64, eng.num_blocks as u64);
         // The arena only ever grows, so the peak is the current footprint:
         // the flat pair storage plus the per-state sig-id table.
@@ -1738,8 +1287,6 @@ fn run_incremental(
         // round (no block split), so the round counts and histories match.
         let stable = eng.moved.is_empty();
         if let Some(h) = persist {
-            // canonical() renumbers to the full engine's id scheme, so the
-            // checkpoint seeds the full engine on resume.
             h.offer(round, stable, &|| eng.canonical());
         }
         if stable {
@@ -1764,43 +1311,6 @@ fn run_incremental(
     Ok(p)
 }
 
-/// Every refinement call in the workspace funnels through here, so this is
-/// the one place checkpointing hooks in.
-fn run(
-    lts: &Lts,
-    eq: Equivalence,
-    history: Option<&mut Vec<Partition>>,
-    wd: &Watchdog,
-    opts: PartitionOptions,
-    stats: Option<&mut RefineStats>,
-    engine: Engine,
-) -> Result<Partition, Exhausted> {
-    // `begin_refine` is called exactly once per call — even when its seed
-    // is unusable — so the sink's call counter stays aligned with the
-    // pre-crash run.
-    let hook = bb_obs::persist_sink().map(|sink| PersistHook {
-        sink,
-        fingerprint: snapshot::refine_fingerprint(lts, eq),
-    });
-    let seed = hook.as_ref().and_then(|h| {
-        let payload = h.sink.begin_refine(h.fingerprint)?;
-        // History runs need the full coarsest-first prefix, which a seeded
-        // run skips — never seed those.
-        if history.is_some() {
-            return None;
-        }
-        snapshot::decode_round(&payload).filter(|(p, _)| p.num_states() == lts.num_states())
-    });
-    // A seeded call always runs the full engine: the incremental engine's
-    // worklists describe *which states just moved*, which a checkpoint does
-    // not record. Both engines produce bit-identical partitions, so the
-    // verdict and every artifact are unaffected by the reroute.
-    if seed.is_some() || engine == Engine::Full {
-        return run_full(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), seed);
-    }
-    run_incremental(lts, eq, history, wd, opts.jobs, stats, hook.as_ref())
-}
-
 /// Computes the coarsest partition of `lts` under the given equivalence.
 ///
 /// For [`Equivalence::Branching`] this is the partition into
@@ -1808,16 +1318,14 @@ fn run(
 /// equivalence classes by Theorem 4.3); for [`Equivalence::BranchingDiv`]
 /// the classes of `≈div`.
 pub fn partition(lts: &Lts, eq: Equivalence) -> Partition {
-    partition_with(lts, eq, &Watchdog::unlimited(), PartitionOptions::default())
+    partition_with(lts, eq, &Watchdog::unlimited(), PartitionOptions)
         .expect("an unlimited watchdog never trips")
 }
 
-/// Budget-governed [`partition`] with explicit [`PartitionOptions`]: the
-/// refinement loop charges the input size against the state cap, each
-/// round's signature recomputations against the transition cap, and its
-/// signature storage against the memory cap, and observes the watchdog's
-/// deadline and cancellation token. The partition — block ids included —
-/// is identical at any worker count.
+/// Budget-governed [`partition`]: the refinement loop charges the input
+/// size against the state cap, each round's signature recomputations
+/// against the transition cap, and its signature storage against the
+/// memory cap, and observes the watchdog's deadline and cancellation token.
 ///
 /// # Errors
 ///
@@ -1827,9 +1335,9 @@ pub fn partition_with(
     lts: &Lts,
     eq: Equivalence,
     wd: &Watchdog,
-    opts: PartitionOptions,
+    _opts: PartitionOptions,
 ) -> Result<Partition, Exhausted> {
-    run(lts, eq, None, wd, opts, None, Engine::Incremental)
+    run(lts, eq, None, wd, None)
 }
 
 /// Like [`partition`], additionally returning the per-round history for
@@ -1837,9 +1345,12 @@ pub fn partition_with(
 pub fn partition_with_history(
     lts: &Lts,
     eq: Equivalence,
-    opts: PartitionOptions,
+    _opts: PartitionOptions,
 ) -> (Partition, RefinementHistory) {
-    history_run(lts, eq, opts, Engine::Incremental)
+    let mut rounds = Vec::new();
+    let p = run(lts, eq, Some(&mut rounds), &Watchdog::unlimited(), None)
+        .expect("an unlimited watchdog never trips");
+    (p, RefinementHistory { rounds })
 }
 
 /// Like [`partition`], additionally returning the work accounting of the
@@ -1847,40 +1358,20 @@ pub fn partition_with_history(
 pub fn partition_with_stats(
     lts: &Lts,
     eq: Equivalence,
-    opts: PartitionOptions,
-) -> (Partition, RefineStats) {
-    stats_run(lts, eq, opts, Engine::Incremental)
-}
-
-fn history_run(
-    lts: &Lts,
-    eq: Equivalence,
-    opts: PartitionOptions,
-    engine: Engine,
-) -> (Partition, RefinementHistory) {
-    let mut rounds = Vec::new();
-    let p = run(lts, eq, Some(&mut rounds), &Watchdog::unlimited(), opts, None, engine)
-        .expect("an unlimited watchdog never trips");
-    (p, RefinementHistory { rounds })
-}
-
-fn stats_run(
-    lts: &Lts,
-    eq: Equivalence,
-    opts: PartitionOptions,
-    engine: Engine,
+    _opts: PartitionOptions,
 ) -> (Partition, RefineStats) {
     let mut stats = RefineStats::default();
-    let p = run(lts, eq, None, &Watchdog::unlimited(), opts, Some(&mut stats), engine)
+    let p = run(lts, eq, None, &Watchdog::unlimited(), Some(&mut stats))
         .expect("an unlimited watchdog never trips");
     (p, stats)
 }
 
 /// The full refinement engine as a differential oracle: every round
-/// recomputes every signature. Production selects it only for
-/// checkpoint-seeded calls; these entry points let tests and `tables perf`
+/// recomputes every signature. No production path calls it; these entry
+/// points, which mirror the production ones, let tests and `tables perf`
 /// check that the incremental engine computes the identical partition,
-/// block ids and round history included.
+/// block ids and round history included. The oracle neither checkpoints
+/// nor takes a checkpoint seed.
 pub mod oracle {
     use super::*;
 
@@ -1893,9 +1384,9 @@ pub mod oracle {
         lts: &Lts,
         eq: Equivalence,
         wd: &Watchdog,
-        opts: PartitionOptions,
+        _opts: PartitionOptions,
     ) -> Result<Partition, Exhausted> {
-        run(lts, eq, None, wd, opts, None, Engine::Full)
+        run_full(lts, eq, None, wd, None)
     }
 
     /// [`partition_with_history`](super::partition_with_history) on the
@@ -1903,9 +1394,12 @@ pub mod oracle {
     pub fn partition_full_with_history(
         lts: &Lts,
         eq: Equivalence,
-        opts: PartitionOptions,
+        _opts: PartitionOptions,
     ) -> (Partition, RefinementHistory) {
-        history_run(lts, eq, opts, Engine::Full)
+        let mut rounds = Vec::new();
+        let p = run_full(lts, eq, Some(&mut rounds), &Watchdog::unlimited(), None)
+            .expect("an unlimited watchdog never trips");
+        (p, RefinementHistory { rounds })
     }
 
     /// [`partition_with_stats`](super::partition_with_stats) on the full
@@ -1913,9 +1407,12 @@ pub mod oracle {
     pub fn partition_full_with_stats(
         lts: &Lts,
         eq: Equivalence,
-        opts: PartitionOptions,
+        _opts: PartitionOptions,
     ) -> (Partition, RefineStats) {
-        stats_run(lts, eq, opts, Engine::Full)
+        let mut stats = RefineStats::default();
+        let p = run_full(lts, eq, None, &Watchdog::unlimited(), Some(&mut stats))
+            .expect("an unlimited watchdog never trips");
+        (p, stats)
     }
 }
 
@@ -2074,7 +1571,7 @@ mod tests {
         let a = vis(&mut b, "a");
         b.add_transition(s0, a, s1);
         let lts = b.build(s0);
-        let opts = PartitionOptions::default();
+        let opts = PartitionOptions;
         let (p, h) = partition_with_history(&lts, Equivalence::Branching, opts);
         assert_eq!(h.rounds.first().unwrap().num_blocks(), 1);
         assert_eq!(h.rounds.last().unwrap(), &p);
@@ -2143,30 +1640,83 @@ mod tests {
     ];
 
     /// Full and incremental engines agree — partitions (block ids included)
-    /// and per-round histories — for every equivalence at 1 and 4 workers.
+    /// and per-round histories — for every equivalence.
     fn assert_engines_agree(lts: &Lts, tag: &str) {
         for eq in ALL_EQS {
-            let serial = PartitionOptions::default();
-            let (pf, hf) = oracle::partition_full_with_history(lts, eq, serial);
-            for jobs in [Jobs::serial(), Jobs::new(4)] {
-                let inc = PartitionOptions::default().with_jobs(jobs);
-                let (pi, hi) = partition_with_history(lts, eq, inc);
+            let opts = PartitionOptions;
+            let (pf, hf) = oracle::partition_full_with_history(lts, eq, opts);
+            let (pi, hi) = partition_with_history(lts, eq, opts);
+            assert_eq!(
+                pf.assignment(),
+                pi.assignment(),
+                "{tag}: {eq:?} block ids differ"
+            );
+            assert_eq!(
+                hf.rounds.len(),
+                hi.rounds.len(),
+                "{tag}: {eq:?} round counts differ"
+            );
+            for (r, (a, b)) in hf.rounds.iter().zip(&hi.rounds).enumerate() {
+                assert_eq!(a, b, "{tag}: {eq:?} round {r} differs");
+            }
+        }
+    }
+
+    /// A checkpoint-seeded run enters the incremental engine: seeded with
+    /// the oracle's partition after any round `k`, it must reach the
+    /// oracle's final partition, block ids included, after the same number
+    /// of rounds — for every equivalence. The oracle's last history entry
+    /// is its stable round, which repeats the one before it, so the seeds
+    /// are the entries before it.
+    fn assert_seeded_runs_match_oracle(lts: &Lts, tag: &str) {
+        let wd = Watchdog::unlimited();
+        for eq in ALL_EQS {
+            let opts = PartitionOptions;
+            let (pf, hf) = oracle::partition_full_with_history(lts, eq, opts);
+            let (_, sf) = oracle::partition_full_with_stats(lts, eq, opts);
+            assert_eq!(
+                hf.rounds[sf.rounds],
+                hf.rounds[sf.rounds - 1],
+                "{tag}: {eq:?}"
+            );
+            for (k, seed) in hf.rounds[..sf.rounds].iter().enumerate() {
+                let mut st = RefineStats::default();
+                let seed = Some((seed.clone(), k as u64));
+                let p = run_from(lts, eq, None, &wd, Some(&mut st), None, seed).unwrap();
                 assert_eq!(
                     pf.assignment(),
-                    pi.assignment(),
-                    "{tag}: {eq:?} jobs={} block ids differ",
-                    jobs.get()
+                    p.assignment(),
+                    "{tag}: {eq:?} seeded at {k}"
                 );
                 assert_eq!(
-                    hf.rounds.len(),
-                    hi.rounds.len(),
-                    "{tag}: {eq:?} jobs={} round counts differ",
-                    jobs.get()
+                    sf.rounds, st.rounds,
+                    "{tag}: {eq:?} seeded at {k}: round count"
                 );
-                for (r, (a, b)) in hf.rounds.iter().zip(&hi.rounds).enumerate() {
-                    assert_eq!(a, b, "{tag}: {eq:?} jobs={} round {r} differs", jobs.get());
-                }
             }
+        }
+    }
+
+    #[test]
+    fn seeded_runs_match_the_oracle_from_every_round() {
+        use bb_algorithms::{ms_queue::MsQueue, treiber::Treiber};
+        use bb_sim::{explore_system, Bound};
+        let bound = Bound::new(2, 2);
+        let limits = bb_lts::ExploreLimits::default();
+        let treiber = explore_system(&Treiber::new(&[1]), bound, limits).unwrap();
+        assert_seeded_runs_match_oracle(&treiber, "treiber 2-2");
+        let ms_queue = explore_system(&MsQueue::new(&[1]), bound, limits).unwrap();
+        assert_seeded_runs_match_oracle(&ms_queue, "ms-queue 2-2");
+        for case in 0..24u64 {
+            let lts = random_lts(
+                2000 + case,
+                RandomLtsConfig {
+                    num_states: 3 + (case % 17) as usize,
+                    num_transitions: 2 + (case * 7 % 43) as usize,
+                    num_visible_letters: 1 + (case % 3) as usize,
+                    tau_percent: (case * 13 % 95) as u8,
+                },
+            );
+            assert_seeded_runs_match_oracle(&lts, &format!("random-{case}"));
         }
     }
 
@@ -2229,9 +1779,9 @@ mod tests {
             b.add_transition(w[0], a, w[1]);
         }
         let lts = b.build(states[0]);
-        let opts = PartitionOptions::default();
+        let opts = PartitionOptions;
         let (pf, full) = oracle::partition_full_with_stats(&lts, Equivalence::Strong, opts);
-        let (pi, inc) = partition_with_stats(&lts, Equivalence::Strong, PartitionOptions::default());
+        let (pi, inc) = partition_with_stats(&lts, Equivalence::Strong, PartitionOptions);
         assert_eq!(pf.assignment(), pi.assignment());
         assert_eq!(full.rounds, inc.rounds);
         assert_eq!(full.sig_recomputes, (full.rounds * n) as u64);
@@ -2258,7 +1808,7 @@ mod tests {
         b.add_transition(states[4], t, states[2]);
         b.add_transition(states[2], t, states[4]);
         let lts = b.build(states[0]);
-        let (p, st) = partition_with_stats(&lts, Equivalence::Branching, PartitionOptions::default());
+        let (p, st) = partition_with_stats(&lts, Equivalence::Branching, PartitionOptions);
         assert!(st.rounds >= 2);
         assert!(st.sig_recomputes >= lts.num_states() as u64);
         assert_eq!(
@@ -2267,7 +1817,7 @@ mod tests {
                 &lts,
                 Equivalence::Branching,
                 &Watchdog::unlimited(),
-                PartitionOptions::default()
+                PartitionOptions
             )
             .unwrap()
             .assignment()

@@ -44,14 +44,13 @@ impl LinReport {
 /// (the most general clients must agree), otherwise refinement trivially
 /// fails.
 pub fn verify_linearizability(imp: &Lts, spec: &Lts) -> LinReport {
-    verify_linearizability_opts(imp, spec, &Watchdog::unlimited(), PartitionOptions::default())
+    verify_linearizability_opts(imp, spec, &Watchdog::unlimited(), PartitionOptions)
         .expect("an unlimited watchdog never trips")
 }
 
 /// Budget-governed [`verify_linearizability`] with explicit
 /// [`PartitionOptions`] for the quotient computations: both quotients and
-/// the refinement search are metered against `wd`, and the report is
-/// identical at any worker count.
+/// the refinement search are metered against `wd`.
 ///
 /// # Errors
 ///

@@ -48,7 +48,7 @@ pub struct LockFreeReport {
 /// # }
 /// ```
 pub fn verify_lock_freedom(imp: &Lts) -> LockFreeReport {
-    verify_lock_freedom_opts(imp, &Watchdog::unlimited(), PartitionOptions::default())
+    verify_lock_freedom_opts(imp, &Watchdog::unlimited(), PartitionOptions)
         .expect("an unlimited watchdog never trips")
 }
 

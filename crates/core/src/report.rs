@@ -4,7 +4,7 @@ use crate::linearizability::{verify_linearizability_opts, LinReport};
 use crate::lockfree::{verify_lock_freedom_opts, LockFreeReport};
 use bb_bisim::{Lasso, PartitionOptions};
 use bb_lts::budget::Watchdog;
-use bb_lts::{ExploreError, ExploreLimits, ExploreOptions, Jobs, Lts};
+use bb_lts::{ExploreError, ExploreLimits, ExploreOptions, Lts};
 use bb_sim::{explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 
 /// Configuration of [`verify_case`].
@@ -17,32 +17,22 @@ pub struct VerifyConfig {
     /// Whether to run the lock-freedom check (skipped for the lock-based
     /// fine-grained lists of Table II, which are not lock-free by design).
     pub check_lock_freedom: bool,
-    /// Worker threads for the partition refinements. Deterministic: the
-    /// report is identical at any count.
-    pub jobs: Jobs,
 }
 
 impl VerifyConfig {
     /// Default configuration for `bound`: explore with default limits and
-    /// check both properties, refining on one worker.
+    /// check both properties.
     pub fn new(bound: Bound) -> Self {
         VerifyConfig {
             bound,
             limits: ExploreLimits::default(),
             check_lock_freedom: true,
-            jobs: Jobs::serial(),
         }
     }
 
     /// Skip the lock-freedom check (for lock-based algorithms).
     pub fn linearizability_only(mut self) -> Self {
         self.check_lock_freedom = false;
-        self
-    }
-
-    /// Use `jobs` worker threads for partition refinement.
-    pub fn with_jobs(mut self, jobs: Jobs) -> Self {
-        self.jobs = jobs;
         self
     }
 }
@@ -120,7 +110,7 @@ pub fn verify_case_lts(
     imp: &Lts,
     spec: &Lts,
 ) -> CaseReport {
-    let popts = PartitionOptions::default().with_jobs(config.jobs);
+    let popts = PartitionOptions;
     let wd = Watchdog::unlimited();
     let linearizability = verify_linearizability_opts(imp, spec, &wd, popts)
         .expect("an unlimited watchdog never trips");

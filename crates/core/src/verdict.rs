@@ -27,7 +27,7 @@ use crate::lockfree::verify_lock_freedom_opts;
 use crate::report::CaseReport;
 use bb_bisim::PartitionOptions;
 use bb_lts::budget::{Budget, Exhausted, Watchdog};
-use bb_lts::{ExploreOptions, Jobs, Lts};
+use bb_lts::{ExploreOptions, Lts};
 use bb_sim::{explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -126,21 +126,17 @@ pub struct GovernedConfig {
     /// Whether to walk the fallback ladder after a budget exhaustion
     /// (disable for a single direct attempt).
     pub fallback: bool,
-    /// Worker threads for the partition refinements. Deterministic:
-    /// verdicts and reports are identical at any count.
-    pub jobs: Jobs,
 }
 
 impl GovernedConfig {
     /// Default configuration: check both properties under `budget` with the
-    /// fallback ladder enabled, refining on one worker.
+    /// fallback ladder enabled.
     pub fn new(bound: Bound, budget: Budget) -> Self {
         GovernedConfig {
             bound,
             budget,
             check_lock_freedom: true,
             fallback: true,
-            jobs: Jobs::serial(),
         }
     }
 
@@ -153,12 +149,6 @@ impl GovernedConfig {
     /// Disable the fallback ladder.
     pub fn no_fallback(mut self) -> Self {
         self.fallback = false;
-        self
-    }
-
-    /// Use `jobs` worker threads for partition refinement.
-    pub fn with_jobs(mut self, jobs: Jobs) -> Self {
-        self.jobs = jobs;
         self
     }
 }
@@ -334,7 +324,7 @@ pub fn verify_case_governed_with(
 ) -> GovernedReport {
     let start = Instant::now();
     let wd = Watchdog::new(config.budget.clone());
-    let popts = PartitionOptions::default().with_jobs(config.jobs);
+    let popts = PartitionOptions;
     let mut attempts: Vec<Attempt> = Vec::new();
     // Explored systems are cached per bound so later rungs don't redo a
     // successful exploration.

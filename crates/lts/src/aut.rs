@@ -209,7 +209,8 @@ fn parse_visible(label: &str) -> Option<Action> {
     if let Some(call) = rest.strip_prefix("call.") {
         // m or m(v)
         if let Some(open) = call.find('(') {
-            let close = call.rfind(')')?;
+            // A `)` before the `(` is no argument list: foreign label.
+            let close = call.rfind(')').filter(|&close| close > open)?;
             let v: i64 = call[open + 1..close].parse().ok()?;
             Some(Action::call(
                 ThreadId(thread),

@@ -202,7 +202,7 @@ impl<'wd> ExploreOptions<'wd> {
 
     /// Does nothing: exploration is serial. Kept so that code written
     /// against the parallel engine still builds.
-    #[deprecated(note = "exploration is serial; `Jobs` only sets refinement workers")]
+    #[deprecated(note = "exploration is serial; the worker count is ignored")]
     pub fn with_jobs(self, _jobs: Jobs) -> Self {
         self
     }

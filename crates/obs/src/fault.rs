@@ -5,8 +5,8 @@
 //! instrumented site (see [`POINTS`]) and `count` selects which hit of
 //! that site trips — the fault fires **exactly once**, on the `count`-th
 //! time execution reaches the point. Because every instrumented site sits
-//! on a deterministic code path (exploration and refinement are
-//! bit-reproducible at any `--jobs`), a plan like
+//! on a deterministic code path (exploration and refinement are serial and
+//! bit-reproducible), a plan like
 //! `BB_FAULT=mid-round:3` reproduces the same crash on every run, which
 //! is what lets the kill/resume tests byte-diff a resumed run against an
 //! uninterrupted one.

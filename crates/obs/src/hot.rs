@@ -269,9 +269,6 @@ pub static COMPACT_COMPRESSION_PCT: Gauge = Gauge::new("compact.compression_pct"
 
 /// Symmetry orbit sizes searched during canonicalization.
 pub static ORBIT_SIZE: Histogram = Histogram::new("reduce.sym.orbit_size");
-/// Per-batch shard imbalance (member states) in the sharded incremental
-/// refinement sweep: `max_chunk * 100 / mean_chunk` per fan-out.
-pub static REFINE_SHARD_IMBALANCE: Histogram = Histogram::new("bisim.shard_imbalance_pct");
 /// Journal append fsync latency (µs) in the serve daemon — the per-submit
 /// durability cost on the admission path.
 pub static JOURNAL_FSYNC_US: Histogram = Histogram::new("serve.journal_fsync_us");
@@ -317,12 +314,7 @@ static GAUGES: [&Gauge; 3] = [
     &COMPACT_COMPRESSION_PCT,
 ];
 
-static HISTOGRAMS: [&Histogram; 4] = [
-    &ORBIT_SIZE,
-    &REFINE_SHARD_IMBALANCE,
-    &JOURNAL_FSYNC_US,
-    &SEEN_PROBE_LEN,
-];
+static HISTOGRAMS: [&Histogram; 3] = [&ORBIT_SIZE, &JOURNAL_FSYNC_US, &SEEN_PROBE_LEN];
 
 /// Reset every registered instrument (called by `install`).
 pub(crate) fn reset_all() {

@@ -281,7 +281,7 @@ mod tests {
     #[test]
     fn metric_names_are_sanitized_and_prefixed() {
         assert_eq!(metric_name("bisim.signature_recomputes"), "bb_bisim_signature_recomputes");
-        assert_eq!(metric_name("bisim.shard_imbalance_pct"), "bb_bisim_shard_imbalance_pct");
+        assert_eq!(metric_name("reduce.sym.orbit_size"), "bb_reduce_sym_orbit_size");
         assert!(valid_name(&metric_name("weird-name.with/chars")));
     }
 

@@ -6,8 +6,8 @@
 //! configuration string built by the caller from everything that
 //! determines the result — model content hash, bound, equivalence,
 //! reduce/refine modes, budget caps, and the format version — and
-//! explicitly *excluding* `--jobs`, since results are bit-identical at any
-//! worker count (a run at `-j 4` hits the entry a `-j 1` run stored).
+//! explicitly *excluding* the retired `--jobs` (a run at `--jobs 4` hits
+//! the entry a `--jobs 1` run stored).
 //! Replaying a hit is byte-identical by construction: the stored stdout is
 //! printed verbatim and the stored artifacts are written verbatim.
 //!

@@ -8,7 +8,8 @@
 //!   inherits every setting without a second source of truth;
 //! * a **config tag** — a hash of the semantically relevant configuration
 //!   (case, bound, equivalence, reduce/refine modes, format version;
-//!   *not* budgets, jobs, or output paths, which cannot change results).
+//!   *not* budgets, the retired `--jobs`, or output paths, which cannot
+//!   change results).
 //!   A run only loads sections from a checkpoint whose tag matches its
 //!   own, which is what makes `resume --deadline 60` sound while a
 //!   checkpoint from a different case is silently ignored;

@@ -19,7 +19,7 @@ use crate::mode::ReduceMode;
 use crate::reducer::{explore_reduced, ReduceStats};
 use bb_core::{verify_case_lts, VerifyConfig};
 use bb_lts::budget::{Exhausted, Watchdog};
-use bb_lts::{ExploreOptions, Jobs};
+use bb_lts::ExploreOptions;
 use bb_sim::{explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 
 /// Outcome of one differential run.
@@ -99,7 +99,6 @@ pub fn differential_check<A, S>(
     spec: &AtomicSpec<S>,
     bound: Bound,
     mode: ReduceMode,
-    jobs: Jobs,
     check_lock_freedom: bool,
 ) -> Result<DifferentialReport, Exhausted>
 where
@@ -117,7 +116,7 @@ where
     let equivalent = bb_bisim::bisimilar(&full_imp, &red_imp, bb_bisim::Equivalence::BranchingDiv)
         && bb_bisim::bisimilar(&full_spec, &red_spec, bb_bisim::Equivalence::BranchingDiv);
 
-    let mut config = VerifyConfig::new(bound).with_jobs(jobs);
+    let mut config = VerifyConfig::new(bound);
     if !check_lock_freedom {
         config = config.linearizability_only();
     }

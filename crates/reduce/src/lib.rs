@@ -49,7 +49,7 @@ pub fn canonical_state<A: ObjectAlgorithm>(
 mod tests {
     use super::scratch::ScratchPad;
     use super::*;
-    use bb_lts::{ExploreOptions, Jobs, Semantics, ThreadId};
+    use bb_lts::{ExploreOptions, Semantics, ThreadId};
     use bb_sim::{explore_system_with, AtomicSpec, Bound, ThreadPerm, ThreadStatus};
 
     #[test]
@@ -99,7 +99,6 @@ mod tests {
             &AtomicSpec::new(ScratchSpec),
             Bound::new(2, 1),
             ReduceMode::Full,
-            Jobs::serial(),
             false,
         )
         .unwrap();

@@ -18,7 +18,7 @@ use bb_algorithms::{
     newcas::NewCas, optimistic_list::OptimisticList, rdcss::Rdcss, specs::*, treiber::Treiber,
     treiber_hp::TreiberHp, treiber_hp_fu::TreiberHpFu, two_lock_queue::TwoLockQueue,
 };
-use bb_bisim::{partition_with, quotient, Equivalence, PartitionOptions};
+use bb_bisim::{partition, quotient, Equivalence};
 use bb_core::{
     format_lasso, run_isolated, verify_case_governed_with, verify_case_lts, verify_wait_freedom,
     GovernedConfig, Verdict, VerifyConfig,
@@ -302,7 +302,6 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
         Ok(l) => l,
         Err(c) => return c,
     };
-    let popts = PartitionOptions::default().with_jobs(spec.jobs);
 
     if spec.command == Command::Check {
         let Some(raw) = &spec.formula else {
@@ -318,7 +317,7 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
         };
         // Model check on the divergence-preserving quotient: it is
         // ≈div-bisimilar to the object, so all next-free LTL carries over.
-        let q = bb_bisim::div_quotient_opts(&imp, popts);
+        let q = bb_bisim::div_quotient(&imp);
         let result = match bb_ltl::check_governed(&q.lts, &formula, &wd) {
             Ok(r) => r,
             Err(e) => {
@@ -345,9 +344,7 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
     }
 
     if spec.command == Command::Quotient {
-        let p = partition_with(&imp, Equivalence::Branching, &Watchdog::unlimited(), popts)
-            .expect("an unlimited watchdog never trips");
-        let q = quotient(&imp, &p);
+        let q = quotient(&imp, &partition(&imp, Equivalence::Branching));
         outln!(out, "algorithm : {}", alg.name());
         outln!(out, "bound     : {}-{}", bound.threads, bound.ops_per_thread);
         outln!(out, "|Δ|       : {}", imp.num_states());
@@ -369,7 +366,7 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
         Ok(l) => l,
         Err(c) => return c,
     };
-    let mut cfg = VerifyConfig::new(bound).with_jobs(spec.jobs);
+    let mut cfg = VerifyConfig::new(bound);
     if !spec.check_lock_freedom || !non_blocking {
         cfg = cfg.linearizability_only();
     }
@@ -421,7 +418,7 @@ fn reduce_check<A: ObjectAlgorithm, S: SequentialSpec>(
         spec.reduce
     };
     let lock_freedom = spec.check_lock_freedom && non_blocking;
-    match differential_check(alg, seq, bound, mode, spec.jobs, lock_freedom) {
+    match differential_check(alg, seq, bound, mode, lock_freedom) {
         Ok(r) => {
             outln!(out, "{}", r.render());
             if r.passed() {
@@ -449,7 +446,7 @@ fn verify_governed<A: ObjectAlgorithm, S: SequentialSpec>(
     out: &mut RunOutput,
 ) -> i32 {
     let bound = Bound::new(spec.threads, spec.ops);
-    let mut config = GovernedConfig::new(bound, budget_of(spec, ctl)).with_jobs(spec.jobs);
+    let mut config = GovernedConfig::new(bound, budget_of(spec, ctl));
     if !spec.check_lock_freedom || !non_blocking {
         config = config.linearizability_only();
     }
@@ -491,14 +488,12 @@ fn verify_governed<A: ObjectAlgorithm, S: SequentialSpec>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bb_lts::Jobs;
 
     fn spec(alg: &str) -> JobSpec {
         JobSpec {
             algorithm: alg.into(),
             threads: 2,
             ops: 1,
-            jobs: Jobs::new(1),
             ..JobSpec::default()
         }
     }

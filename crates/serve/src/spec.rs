@@ -3,9 +3,9 @@
 //!
 //! A [`JobSpec`] captures everything that determines a command's stdout,
 //! artifacts and exit code — the algorithm, bound, property selection,
-//! reduce mode and budgets — plus the one knob that provably does *not*
-//! ([`jobs`](JobSpec::jobs), excluded from [`cache_key`](JobSpec::cache_key)
-//! because results are bit-identical at any worker count). The same struct
+//! reduce mode and budgets — plus the retired worker count
+//! ([`jobs`](JobSpec::jobs)), which no stage reads and which
+//! [`cache_key`](JobSpec::cache_key) excludes. The same struct
 //! round-trips through the `bb-serve/v1` JSON
 //! protocol ([`to_json`](JobSpec::to_json) / [`from_json`](JobSpec::from_json))
 //! and back into a CLI argv ([`to_argv`](JobSpec::to_argv)), which is what
@@ -127,8 +127,9 @@ pub struct JobSpec {
     pub no_fallback: bool,
     /// State-space reduction mode.
     pub reduce: ReduceMode,
-    /// Partition-refinement worker threads (output-identical at any count;
-    /// not in the cache key).
+    /// The retired worker count: parsed from a `"jobs"` member and written
+    /// back by [`to_json`](JobSpec::to_json) so the journal format is
+    /// unchanged, but never read — exploration and refinement are serial.
     pub jobs: Jobs,
 }
 
@@ -149,7 +150,7 @@ impl Default for JobSpec {
             max_memory: None,
             no_fallback: false,
             reduce: ReduceMode::None,
-            jobs: Jobs::available(),
+            jobs: Jobs::new(1),
         }
     }
 }
@@ -189,10 +190,10 @@ impl JobSpec {
 
     /// The checkpoint configuration tag: a hash of everything that
     /// determines the *shape* of the pipeline (which LTSs are explored,
-    /// which refinement calls run, in what order). Budgets, `--jobs`,
-    /// checkpoint cadence and output paths are deliberately excluded — a
-    /// resume with a raised budget or a different worker count must still
-    /// seed the recorded sections.
+    /// which refinement calls run, in what order). Budgets, the retired
+    /// `--jobs`, checkpoint cadence and output paths are deliberately
+    /// excluded — a resume with a raised budget must still seed the
+    /// recorded sections.
     pub fn config_tag(&self) -> u64 {
         let desc = format!(
             "bbp{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce={}|{REFINE_TAG}",
@@ -213,9 +214,9 @@ impl JobSpec {
 
     /// The result-cache key: everything that determines the command's
     /// stdout, artifacts and exit code — including budgets, since the
-    /// governed report names the rung and bound that answered. `--jobs` is
-    /// excluded: results are bit-identical at any worker count, so a `-j 4`
-    /// run hits the entry a `-j 1` run stored.
+    /// governed report names the rung and bound that answered. The retired
+    /// `--jobs` is excluded, so a `--jobs 4` run hits the entry a `--jobs 1`
+    /// run stored.
     pub fn cache_key(&self) -> String {
         format!(
             "bbc{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce={}|{REFINE_TAG}|budget=({:?},{:?},{:?},{:?},nf{})",
@@ -275,7 +276,6 @@ impl JobSpec {
         if self.reduce != ReduceMode::None {
             argv_push(&mut argv, "--reduce", self.reduce.to_string());
         }
-        argv_push(&mut argv, "--jobs", self.jobs.get().to_string());
         argv
     }
 
@@ -329,8 +329,9 @@ impl JobSpec {
     /// [`to_json`](JobSpec::to_json), tolerant of member order). Unknown
     /// members are rejected so a typo'd budget flag can't silently run an
     /// unbounded job. The retired engine switches `refine` (`"full"` or
-    /// `"incremental"`) and `fuse` are still accepted and ignored, so journal
-    /// lines and requests written by earlier releases stay readable.
+    /// `"incremental"`) and `fuse` are still accepted and ignored, and
+    /// `jobs` (at least 1) is kept but never read, so journal lines and
+    /// requests written by earlier releases stay readable.
     pub fn from_json(v: &JsonValue) -> Result<JobSpec, String> {
         let obj = v.as_object().ok_or("spec must be a JSON object")?;
         let mut spec = JobSpec::default();
@@ -562,7 +563,9 @@ mod tests {
         assert_eq!(argv[0], "verify");
         assert_eq!(argv[1], "ms-queue");
         assert!(argv.contains(&"--no-lock-freedom".to_string()));
-        assert!(!argv.iter().any(|a| a == "--refine" || a == "--fuse"));
+        assert!(!argv
+            .iter()
+            .any(|a| a == "--refine" || a == "--fuse" || a == "--jobs"));
         let t = argv.iter().position(|a| a == "--timeout").unwrap();
         assert_eq!(argv[t + 1], "1500ms");
     }

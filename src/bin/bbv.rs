@@ -27,7 +27,6 @@ use bbverify::serve::{
     discover_addr, execute, CheckpointCtl, Client, Command, JobSpec, RunCtl, ServeConfig,
     ALGORITHMS, EXIT_PROVED, EXIT_REFUTED, EXIT_USAGE,
 };
-use bbverify::lts::Jobs;
 use bbverify::reduce::ReduceMode;
 use bb_obs::json::JsonValue;
 use bb_persist::Cache;
@@ -50,7 +49,6 @@ struct Options {
     max_transitions: Option<usize>,
     max_memory: Option<usize>,
     no_fallback: bool,
-    jobs: Jobs,
     reduce: ReduceMode,
     metrics: Option<String>,
     trace: Option<String>,
@@ -78,7 +76,6 @@ impl Default for Options {
             max_transitions: None,
             max_memory: None,
             no_fallback: false,
-            jobs: Jobs::available(),
             reduce: ReduceMode::None,
             metrics: None,
             trace: None,
@@ -111,7 +108,7 @@ impl Options {
             max_memory: self.max_memory,
             no_fallback: self.no_fallback,
             reduce: self.reduce,
-            jobs: self.jobs,
+            ..JobSpec::default()
         }
     }
 }
@@ -206,6 +203,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     Some(parse_count(it.next().ok_or("--max-memory needs a byte count")?)?)
             }
             "--no-fallback" => opts.no_fallback = true,
+            // Retired engine switches: checkpoints record raw argv, so old
+            // command lines must still parse (and `bbv resume` replay).
             "--jobs" => {
                 let n: usize = it
                     .next()
@@ -215,10 +214,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 if n == 0 {
                     return Err("--jobs must be at least 1".into());
                 }
-                opts.jobs = Jobs::new(n);
+                retired("--jobs");
             }
-            // Retired engine switches: checkpoints record raw argv, so old
-            // command lines must still parse (and `bbv resume` replay).
             "--refine" => match it.next().map(String::as_str) {
                 Some("full" | "incremental") => retired("--refine"),
                 _ => return Err("--refine needs a mode: full or incremental".into()),
@@ -279,7 +276,7 @@ fn print_usage() {
     eprintln!("  options: --threads N  --ops N  --domain 1,2");
     eprintln!("           --no-lock-freedom  --wait-freedom  --dot FILE  --aut FILE");
     eprintln!("           --formula \"G F (ret | done)\"   (for `check`)");
-    eprintln!("           --jobs N   (refinement workers; default = all cores, output identical)");
+    eprintln!("           --jobs N   (retired: accepted and ignored; every stage is serial)");
     eprintln!("           --reduce none|sym|por|full   (state-space reduction; ≈div-preserving)");
     eprintln!("           `reduce-check <algorithm|all>` cross-checks the reduction: the");
     eprintln!("           reduced LTS must be ≈div the full one with identical verdicts");
@@ -485,7 +482,6 @@ fn write_obs_outputs(session: &bb_obs::Session, opts: &Options, algorithm: &str,
         ("algorithm", algorithm.into()),
         ("threads", u64::from(opts.threads).into()),
         ("ops", u64::from(opts.ops).into()),
-        ("jobs", opts.jobs.get().into()),
         ("reduce", opts.reduce.to_string().into()),
     ];
     if let Some(path) = &opts.metrics {

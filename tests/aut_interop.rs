@@ -82,3 +82,26 @@ fn malformed_inputs_error_rather_than_panic() {
         assert!(r.is_err(), "{name}: should be rejected, got {r:?}");
     }
 }
+
+#[test]
+fn near_miss_visible_labels_import_as_foreign_labels() {
+    // Labels that start like our `tN.call.m(v)` / `tN.ret(v).m` forms but
+    // do not parse as one are foreign labels, never a panic.
+    for label in [
+        "t1.call.m)(",
+        "t1.call.)(5",
+        "t1.call.m(",
+        "t1.call.m(x)",
+        "t1.call.m)",
+        "t1.ret(",
+        "t1.ret(x).m",
+        "t1.ret(1)",
+        "t1.ret)(.m",
+        "tx.call.m(1)",
+        "t1.",
+    ] {
+        let text = format!("des (0, 1, 2)\n(0, \"{label}\", 1)\n");
+        let lts = from_aut(&text).unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(lts.num_transitions(), 1, "{label}");
+    }
+}

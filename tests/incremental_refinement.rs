@@ -5,9 +5,9 @@
 //! (`bb_bisim::oracle`): same
 //! partition — block ids included — same round-by-round history, same
 //! quotients and `.aut` exports, same verification verdicts, under every
-//! equivalence and any worker count. These tests check exactly that on
-//! the full algorithm roster (including the known-buggy variants), on a
-//! seeded random-LTS sweep, and under a budget that trips mid-refinement.
+//! equivalence. These tests check exactly that on the full algorithm
+//! roster (including the known-buggy variants), on a seeded random-LTS
+//! sweep, and under a budget that trips mid-refinement.
 
 use bbverify::algorithms::{
     ccas::Ccas, coarse::CoarseLocked, dglm_queue::DglmQueue, fine_list::FineList,
@@ -20,10 +20,10 @@ use bbverify::bisim::{
     has_tau_cycle, oracle, partition_with, partition_with_history, quotient, Equivalence,
     Partition, PartitionOptions, RefinementHistory,
 };
-use bbverify::core::{verify_case_lts, verify_lock_freedom, VerifyConfig};
+use bbverify::core::verify_lock_freedom;
 use bbverify::lts::{
     disjoint_union, random_lts, to_aut, Action, Budget, ExhaustReason, Exhausted, ExploreLimits,
-    Jobs, Lts, LtsBuilder, RandomLtsConfig, Stage, ThreadId, Watchdog,
+    Lts, LtsBuilder, RandomLtsConfig, Stage, ThreadId, Watchdog,
 };
 use bbverify::sim::{explore_system, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 
@@ -43,38 +43,34 @@ const ENGINES: [(&str, Governed, WithHistory); 2] = [
     ("incremental", partition_with, partition_with_history),
 ];
 
-fn jobs(n: usize) -> PartitionOptions {
-    PartitionOptions::default().with_jobs(Jobs::new(n))
-}
+const OPTS: PartitionOptions = PartitionOptions;
 
 fn full(lts: &Lts, eq: Equivalence) -> Partition {
-    oracle::partition_full(lts, eq, &Watchdog::unlimited(), PartitionOptions::default()).unwrap()
+    oracle::partition_full(lts, eq, &Watchdog::unlimited(), OPTS).unwrap()
 }
 
-fn incremental(lts: &Lts, eq: Equivalence, opts: PartitionOptions) -> Partition {
-    partition_with(lts, eq, &Watchdog::unlimited(), opts).unwrap()
+fn incremental(lts: &Lts, eq: Equivalence) -> Partition {
+    partition_with(lts, eq, &Watchdog::unlimited(), OPTS).unwrap()
 }
 
 /// Asserts the full-engine oracle and the incremental engine agree on
 /// `lts` — the final partition (assignments *and* block ids) and the whole
-/// round history — for every equivalence at both worker counts.
+/// round history — for every equivalence.
 fn assert_engines_agree(lts: &Lts, what: &str) {
     for eq in EQUIVALENCES {
-        let (p_full, h_full) = oracle::partition_full_with_history(lts, eq, jobs(1));
-        for n in [1, 4] {
-            let (p_inc, h_inc) = partition_with_history(lts, eq, jobs(n));
-            assert_eq!(
-                p_full, p_inc,
-                "{what}: final partition differs under {eq:?} at {n} job(s)"
-            );
-            assert_eq!(
-                h_full.rounds.len(),
-                h_inc.rounds.len(),
-                "{what}: round count differs under {eq:?} at {n} job(s)"
-            );
-            for (i, (a, b)) in h_full.rounds.iter().zip(&h_inc.rounds).enumerate() {
-                assert_eq!(a, b, "{what}: history round {i} differs under {eq:?} at {n} job(s)");
-            }
+        let (p_full, h_full) = oracle::partition_full_with_history(lts, eq, OPTS);
+        let (p_inc, h_inc) = partition_with_history(lts, eq, OPTS);
+        assert_eq!(
+            p_full, p_inc,
+            "{what}: final partition differs under {eq:?}"
+        );
+        assert_eq!(
+            h_full.rounds.len(),
+            h_inc.rounds.len(),
+            "{what}: round count differs under {eq:?}"
+        );
+        for (i, (a, b)) in h_full.rounds.iter().zip(&h_inc.rounds).enumerate() {
+            assert_eq!(a, b, "{what}: history round {i} differs under {eq:?}");
         }
     }
 }
@@ -127,14 +123,12 @@ fn aut_exports_of_quotients_are_byte_identical() {
     let lts = lts_of(&MsQueue::new(&[1]), 2, 2);
     for eq in EQUIVALENCES {
         let q_full = quotient(&lts, &full(&lts, eq));
-        for n in [1, 4] {
-            let q_inc = quotient(&lts, &incremental(&lts, eq, jobs(n)));
-            assert_eq!(
-                to_aut(&q_full.lts),
-                to_aut(&q_inc.lts),
-                ".aut export differs under {eq:?} at {n} job(s)"
-            );
-        }
+        let q_inc = quotient(&lts, &incremental(&lts, eq));
+        assert_eq!(
+            to_aut(&q_full.lts),
+            to_aut(&q_inc.lts),
+            ".aut export differs under {eq:?}"
+        );
     }
 }
 
@@ -143,7 +137,7 @@ fn aut_exports_of_quotients_are_byte_identical() {
 /// τ-cycle pass, and a bare reachable-τ-cycle test.
 fn assert_lock_freedom_routes_agree(name: &str, imp: &Lts) {
     let wd = Watchdog::unlimited();
-    let by_union = bbverify::core::oracle::lock_free_by_div_union(imp, &wd, jobs(1)).unwrap();
+    let by_union = bbverify::core::oracle::lock_free_by_div_union(imp, &wd, OPTS).unwrap();
     let report = verify_lock_freedom(imp);
     assert_eq!(by_union, report.lock_free, "{name}: ≈div union disagrees with the report");
     assert_eq!(report.lock_free, !has_tau_cycle(imp), "{name}: τ-cycle test disagrees");
@@ -155,8 +149,8 @@ fn assert_lock_freedom_routes_agree(name: &str, imp: &Lts) {
 /// engine's on every LTS the verdict pipeline refines — the implementation
 /// and the specification under `≈` (Theorem 5.3), and, on the 12
 /// lock-freedom cases, the union of the implementation with its quotient
-/// under `≈div`. Equal partitions make equal verdicts; the verdict summary
-/// is also checked at four workers. The lock-freedom cases also check that
+/// under `≈div`. Equal partitions make equal verdicts. The lock-freedom
+/// cases also check that
 /// the three routes to Theorem 5.9 agree, at the verdict bound and at the
 /// second bound `lf_bound`.
 #[test]
@@ -173,26 +167,23 @@ fn verdicts_are_identical_across_engines() {
         let imp = lts_of(&alg, th, op);
         let sp = lts_of(&AtomicSpec::new(spec), th, op);
         let eq = Equivalence::Branching;
-        let p_imp = incremental(&imp, eq, jobs(1));
+        let p_imp = incremental(&imp, eq);
         assert_eq!(full(&imp, eq), p_imp, "{name}: implementation partition differs");
-        assert_eq!(full(&sp, eq), incremental(&sp, eq, jobs(1)), "{name}: spec partition differs");
+        assert_eq!(
+            full(&sp, eq),
+            incremental(&sp, eq),
+            "{name}: spec partition differs"
+        );
         if lock_freedom {
             let u = disjoint_union(&imp, &quotient(&imp, &p_imp).lts).lts;
             let div = Equivalence::BranchingDiv;
-            let p_inc = incremental(&u, div, jobs(1));
+            let p_inc = incremental(&u, div);
             assert_eq!(full(&u, div), p_inc, "{name}: ≈div union differs");
             assert_lock_freedom_routes_agree(&format!("{name} {th}-{op}"), &imp);
         }
         if let Some((th, op)) = lf_bound {
             assert_lock_freedom_routes_agree(&format!("{name} {th}-{op}"), &lts_of(&alg, th, op));
         }
-        let mut cfg = VerifyConfig::new(Bound::new(th, op));
-        if !lock_freedom {
-            cfg = cfg.linearizability_only();
-        }
-        let serial = verify_case_lts("case", cfg, &imp, &sp).summary();
-        let parallel = verify_case_lts("case", cfg.with_jobs(Jobs::new(4)), &imp, &sp).summary();
-        assert_eq!(serial, parallel, "{name}: verdict differs at 4 jobs");
     }
     // Second bounds: 3-1 where the model takes a third thread and stays
     // small, else the 2-1 below the verdict bound (2-2 above it for RDCSS,
@@ -219,33 +210,6 @@ fn verdicts_are_identical_across_engines() {
     check("coarse-set", CoarseLocked::new(set.clone()), set, (2, 2), None);
 }
 
-/// The jobs sweep: partitions, round-by-round histories and quotient
-/// `.aut` bytes of the production engine at `jobs ∈ {1, 2, 4}` must all
-/// equal the serial full-engine oracle. Runs on a roster slice that
-/// includes a lock-based algorithm and a known-buggy variant (failures
-/// must replicate exactly as successes do).
-#[test]
-fn jobs_sweep_is_bit_identical_to_the_oracle() {
-    let cases: [(&str, Lts); 3] = [
-        ("ms-queue", lts_of(&MsQueue::new(&[1]), 2, 2)),
-        ("lazy-list", lts_of(&LazyList::new(&[1]), 2, 2)),
-        ("hm-list-buggy", lts_of(&HmList::buggy(&[1]), 2, 2)),
-    ];
-    for (name, lts) in &cases {
-        for eq in [Equivalence::Strong, Equivalence::Branching] {
-            let (p0, h0) = oracle::partition_full_with_history(lts, eq, jobs(1));
-            let aut0 = to_aut(&quotient(lts, &p0).lts);
-            for n in [1, 2, 4] {
-                let tag = format!("{name} {eq:?} at {n} job(s)");
-                let (p, h) = partition_with_history(lts, eq, jobs(n));
-                assert_eq!(p0, p, "{tag}: partition differs");
-                assert_eq!(h0.rounds, h.rounds, "{tag}: history differs");
-                assert_eq!(aut0, to_aut(&quotient(lts, &p).lts), "{tag}: .aut bytes differ");
-            }
-        }
-    }
-}
-
 /// The `PartialStats.refinement` boundary semantics: a budget that trips
 /// before the first round completes reports *no* refinement progress (not
 /// a phantom round 0), and a trip exactly on a round boundary reports the
@@ -266,12 +230,12 @@ fn partial_stats_refinement_round_boundaries_are_exact() {
     for (mode, governed, with_history) in ENGINES {
         // Reference history of the uninterrupted run: rounds[r] is the
         // partition after round r (rounds[0] is the universal start).
-        let (_, h) = with_history(&lts, Equivalence::Strong, jobs(1));
+        let (_, h) = with_history(&lts, Equivalence::Strong, OPTS);
 
         // Trip before round 1 can complete: no round was finished, so the
         // partial stats must carry no refinement note at all.
         let wd = Watchdog::new(Budget::unlimited().with_max_transitions(scan - 1));
-        let err = governed(&lts, Equivalence::Strong, &wd, jobs(1))
+        let err = governed(&lts, Equivalence::Strong, &wd, OPTS)
             .expect_err("budget under one scan must trip in round 1");
         assert_eq!(err.reason, ExhaustReason::TransitionCap, "{mode}");
         assert_eq!(
@@ -282,7 +246,7 @@ fn partial_stats_refinement_round_boundaries_are_exact() {
         // Trip exactly on a round boundary: the just-completed round must
         // be reported, and its block count must match the history.
         let wd = Watchdog::new(Budget::unlimited().with_max_transitions(2 * scan - 1));
-        let err = governed(&lts, Equivalence::Strong, &wd, jobs(1))
+        let err = governed(&lts, Equivalence::Strong, &wd, OPTS)
             .expect_err("the chain needs ~k rounds; two scans of budget must trip");
         assert_eq!(err.reason, ExhaustReason::TransitionCap, "{mode}");
         let (rounds, blocks) = err.partial.refinement.unwrap_or_else(|| {
@@ -313,9 +277,27 @@ fn budget_trips_mid_refinement_in_both_engines() {
 
     for (mode, governed, _) in ENGINES {
         let wd = Watchdog::new(Budget::unlimited().with_max_transitions(k as usize - 1 + 2));
-        let err = governed(&lts, Equivalence::Strong, &wd, jobs(1))
+        let err = governed(&lts, Equivalence::Strong, &wd, OPTS)
             .expect_err("the chain needs ~k rounds; one round of budget must trip");
         assert_eq!(err.stage, Stage::Bisim, "{mode}: wrong stage");
         assert_eq!(err.reason, ExhaustReason::TransitionCap, "{mode}: wrong reason");
     }
+}
+
+/// A transition cap of two full scans trips the branching sweep of a real
+/// system mid-refinement: the error names the refinement stage and the cap,
+/// and its partial statistics carry the whole input and the last completed
+/// round with that round's block count.
+#[test]
+fn branching_cap_trip_reports_partial_stats() {
+    let lts = lts_of(&MsQueue::new(&[1]), 2, 2);
+    let budget = Budget::unlimited().with_max_transitions(2 * lts.num_transitions());
+    let err = partition_with(&lts, Equivalence::Branching, &Watchdog::new(budget), OPTS)
+        .expect_err("a two-scan transition cap must trip mid-refinement");
+    assert_eq!(err.reason, ExhaustReason::TransitionCap);
+    assert_eq!(err.stage, Stage::Bisim);
+    assert_eq!(err.partial.states, lts.num_states());
+    let (rounds, blocks) = err.partial.refinement.expect("round 1 completes within one scan");
+    let (_, h) = partition_with_history(&lts, Equivalence::Branching, OPTS);
+    assert_eq!(blocks, h.rounds[rounds as usize].num_blocks() as u64);
 }

@@ -48,7 +48,7 @@ fn metrics_document_has_the_v1_schema() {
 
     let meta = doc.get("meta").and_then(JsonValue::as_object).expect("meta object");
     let meta_keys: Vec<&str> = meta.iter().map(|(k, _)| k.as_str()).collect();
-    assert_eq!(meta_keys, ["command", "algorithm", "threads", "ops", "jobs", "reduce"]);
+    assert_eq!(meta_keys, ["command", "algorithm", "threads", "ops", "reduce"]);
     assert_eq!(doc.get("meta").unwrap().get("command").unwrap().as_str(), Some("verify"));
     assert_eq!(doc.get("meta").unwrap().get("algorithm").unwrap().as_str(), Some("ms-queue"));
 

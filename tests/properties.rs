@@ -121,7 +121,7 @@ fn equivalence_lattice() {
 fn divergence_characterization() {
     let wd = Watchdog::unlimited();
     for_each_lts(|lts| {
-        let div_bisim = lock_free_by_div_union(lts, &wd, PartitionOptions::default()).unwrap();
+        let div_bisim = lock_free_by_div_union(lts, &wd, PartitionOptions).unwrap();
         let cycle = has_tau_cycle(lts);
         assert_eq!(div_bisim, !cycle);
         assert_eq!(verify_lock_freedom(lts).lock_free, !cycle);

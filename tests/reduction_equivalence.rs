@@ -10,9 +10,9 @@
 //!    including on the three known-buggy case studies, whose *failures*
 //!    must survive reduction unchanged.
 //!
-//! A final test checks that reduction composes with the parallel refiner:
-//! the reduced LTS repeats byte for byte, and its partition is the same at
-//! any `--jobs` count.
+//! A final test checks that reduction is deterministic: the reduced LTS
+//! repeats byte for byte, and its partition matches the full-engine
+//! refinement oracle.
 
 use bbverify::algorithms::{
     ccas::Ccas, coarse::CoarseLocked, dglm_queue::DglmQueue, fine_list::FineList, hm_list::HmList,
@@ -20,8 +20,8 @@ use bbverify::algorithms::{
     newcas::NewCas, optimistic_list::OptimisticList, rdcss::Rdcss, specs::*, treiber::Treiber,
     treiber_hp::TreiberHp, treiber_hp_fu::TreiberHpFu, two_lock_queue::TwoLockQueue,
 };
-use bbverify::bisim::{partition, partition_with, Equivalence, PartitionOptions};
-use bbverify::lts::{to_aut, ExploreOptions, Jobs, Watchdog};
+use bbverify::bisim::{oracle, partition, Equivalence, PartitionOptions};
+use bbverify::lts::{to_aut, ExploreOptions, Watchdog};
 use bbverify::reduce::{differential_check, explore_reduced, DifferentialReport, ReduceMode};
 use bbverify::sim::{AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 
@@ -34,15 +34,8 @@ fn check<A: ObjectAlgorithm, S: SequentialSpec>(
     lock_freedom: bool,
     mode: ReduceMode,
 ) -> DifferentialReport {
-    let r = differential_check(
-        alg,
-        spec,
-        Bound::new(threads, ops),
-        mode,
-        Jobs::available(),
-        lock_freedom,
-    )
-    .expect("exploration fits in the default budget");
+    let r = differential_check(alg, spec, Bound::new(threads, ops), mode, lock_freedom)
+        .expect("exploration fits in the default budget");
     assert!(r.passed(), "{}", r.render());
     r
 }
@@ -141,13 +134,12 @@ fn individual_layers_on_representative_algorithms() {
     }
 }
 
-/// Reduction composes deterministically with `--jobs N`: the reduced LTS is
-/// byte-identical from run to run, and its branching partition is the same
-/// at any refinement worker count, for an algorithm exercising every
-/// reducer feature (ample chains, proviso fallbacks, symmetry with
-/// per-thread slot renaming).
+/// Reduction is deterministic: the reduced LTS is byte-identical from run
+/// to run, and its branching partition equals the full-engine oracle's, for
+/// an algorithm exercising every reducer feature (ample chains, proviso
+/// fallbacks, symmetry with per-thread slot renaming).
 #[test]
-fn reduced_exploration_is_deterministic_across_jobs() {
+fn reduced_exploration_is_deterministic() {
     let alg = TreiberHp::new(&[1], 2);
     let bound = Bound::new(2, 2);
     let reduce = || explore_reduced(&alg, bound, ReduceMode::Full, &ExploreOptions::new());
@@ -158,15 +150,11 @@ fn reduced_exploration_is_deterministic_across_jobs() {
         to_aut(&reduce().unwrap().0),
         "reduced LTS must repeat"
     );
-    let reference = partition(&base, Equivalence::Branching);
-    for jobs in [2, 4, 8] {
-        let opts = PartitionOptions::default().with_jobs(Jobs::new(jobs));
-        let p =
-            partition_with(&base, Equivalence::Branching, &Watchdog::unlimited(), opts).unwrap();
-        assert_eq!(
-            reference.assignment(),
-            p.assignment(),
-            "reduced partition must be identical at {jobs} worker threads"
-        );
-    }
+    let wd = Watchdog::unlimited();
+    let full = oracle::partition_full(&base, Equivalence::Branching, &wd, PartitionOptions);
+    assert_eq!(
+        full.unwrap(),
+        partition(&base, Equivalence::Branching),
+        "reduced partition must match the oracle"
+    );
 }

@@ -143,8 +143,8 @@ fn metrics_exposition_lints_and_covers_daemon_and_obs_series() {
     ] {
         assert!(text.contains(series), "missing `{series}` in exposition:\n{text}");
     }
-    // Exploration is serial, so it exports no shard-imbalance series.
-    assert!(!text.contains("bb_explore_shard_imbalance_pct"), "{text}");
+    // Every stage is serial, so no shard-imbalance series is exported.
+    assert!(!text.contains("shard_imbalance_pct"), "{text}");
     let fsync_count = text
         .lines()
         .find(|l| l.starts_with("bb_serve_journal_fsync_us_count"))
