@@ -8,10 +8,7 @@
 //! verify linearizable against `AtomicSpec<S>` for every `S`.
 
 use bb_lts::ThreadId;
-use bb_sim::{
-    Footprint, Frames, MethodId, MethodSpec, ObjectAlgorithm, Outcome, SequentialSpec, ThreadPerm,
-    Value,
-};
+use bb_sim::{Footprint, MethodId, MethodSpec, ObjectAlgorithm, Outcome, SequentialSpec, Value};
 
 /// A sequential object protected by a single global lock.
 #[derive(Debug, Clone)]
@@ -174,17 +171,6 @@ impl<S: SequentialSpec> ObjectAlgorithm for CoarseLocked<S> {
             // everything co-enabled. `Acquire` races on the lock word.
             Frame::Apply { .. } | Frame::Release { .. } => Footprint::Owned,
             _ => Footprint::Global,
-        }
-    }
-
-    fn rename_threads(
-        &self,
-        shared: &mut Shared<S>,
-        _frames: &mut Frames<'_, Frame>,
-        perm: &ThreadPerm,
-    ) {
-        if let Some(owner) = shared.lock {
-            shared.lock = Some(perm.apply(owner));
         }
     }
 }

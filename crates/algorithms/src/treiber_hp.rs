@@ -18,7 +18,7 @@ use crate::list_node::ListNode;
 use bb_lts::ThreadId;
 use bb_sim::{
     CanonScratch, Footprint, Frames, Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr,
-    ThreadPerm, Value, EMPTY,
+    Value, EMPTY,
 };
 
 /// Treiber stack + hazard pointers for a fixed number of threads.
@@ -324,18 +324,6 @@ impl ObjectAlgorithm for TreiberHp {
             // slot (H8) race with other threads' scans/writes: Global.
             _ => Footprint::Global,
         }
-    }
-
-    fn rename_threads(
-        &self,
-        shared: &mut Shared,
-        _frames: &mut Frames<'_, Frame>,
-        perm: &ThreadPerm,
-    ) {
-        // Per-thread slots travel with their owner; every cross-thread use
-        // is slot-symmetric (`scan` treats `hp` as a set).
-        perm.apply_vec(&mut shared.hp);
-        perm.apply_vec(&mut shared.rlist);
     }
 
     fn canonicalize(

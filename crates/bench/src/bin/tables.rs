@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Subcommands: `table1` … `table7`, `fig10`, `all`, plus two reduction
-//! sweeps: `reduce` (reduction-factor table, `--reduce none` vs `full`) and
+//! sweeps: `reduce` (reduction-factor table, `--reduce none` vs `por`) and
 //! `verdicts` (machine-diffable verdict lines; run once per `--reduce` mode
 //! and diff — CI does exactly that), and `phases` (per-phase wall-clock
 //! breakdown of the verification pipeline, collected through bb-obs spans
@@ -28,7 +28,6 @@ use bb_core::{
 };
 use bb_ktrace::{classify_tau_edges, KtraceLimits};
 use bb_lts::{ExploreOptions, Lts, Watchdog};
-use bb_reduce::scratch::ScratchPad;
 use bb_reduce::{explore_reduced, ReduceMode};
 use bb_persist::{Cache, CacheEntry};
 use bb_sim::{AtomicSpec, Bound};
@@ -98,7 +97,7 @@ fn main() {
             eprintln!("unknown subcommand `{other}`");
             eprintln!(
                 "usage: tables [table1..table7|fig10|reduce|verdicts|phases|perf|all] \
-                 [--large] [--reduce none|sym|por|full] \
+                 [--large] [--reduce none|por] \
                  [--out FILE] [--cache DIR] [--against BASELINE.json] [--max-regress PCT]"
             );
             std::process::exit(3);
@@ -112,7 +111,7 @@ fn parse_reduce(args: &[String]) -> Result<ReduceMode, String> {
         return Ok(ReduceMode::None);
     };
     args.get(pos + 1)
-        .ok_or("--reduce needs a mode: none, sym, por, full")?
+        .ok_or("--reduce needs a mode: none or por")?
         .parse()
 }
 
@@ -546,9 +545,9 @@ fn fig10(large: bool) {
 // ---------------------------------------------------- on-the-fly reduction
 
 fn reduce_table(large: bool) {
-    println!("\n=== On-the-fly reduction — `--reduce none` vs `--reduce full` ===");
-    println!("(ample-set POR + thread-symmetry; both `≈div`-preserving, so every");
-    println!(" verdict is unchanged — `tables verdicts` cross-checks that)\n");
+    println!("\n=== On-the-fly reduction — `--reduce none` vs `--reduce por` ===");
+    println!("(ample-set POR; `≈div`-preserving, so every verdict is unchanged —");
+    println!(" `tables verdicts` cross-checks that)\n");
     println!(
         "{:<28} {:>7} {:>12} {:>12} {:>12} {:>12} {:>8} {:>8} {:>10}",
         "Object", "#Th-#Op", "|Δ| st", "|Δ| tr", "red st", "red tr", "st ×", "tr ×", "time"
@@ -563,7 +562,7 @@ fn reduce_table(large: bool) {
             let outcome = (|| -> Result<_, bb_lts::budget::Exhausted> {
                 let full = bb_sim::explore_system_with(&$alg, Bound::new($th, $op), &opts)?;
                 let t0 = Instant::now();
-                let (red, _) = explore_reduced(&$alg, Bound::new($th, $op), ReduceMode::Full, &opts)?;
+                let (red, _) = explore_reduced(&$alg, Bound::new($th, $op), &opts)?;
                 Ok((full, red, t0.elapsed()))
             })();
             match outcome {
@@ -590,18 +589,13 @@ fn reduce_table(large: bool) {
     row!("MS lock-free queue", MsQueue::new(&[1]), 2, 3);
     row!("Coarse-locked set", CoarseLocked::new(SeqSet::new(&[1])), 2, 2);
     row!("Coarse-locked set", CoarseLocked::new(SeqSet::new(&[1])), 3, 2);
-    row!("Scratch pad (per-thread slots)", ScratchPad::new(&[1, 2], 4), 4, 2);
-    row!("Scratch pad (per-thread slots)", ScratchPad::new(&[1, 2], 5), 5, 2);
     if large {
         row!("Treiber stack", Treiber::new(&[1]), 3, 3);
         row!("MS lock-free queue", MsQueue::new(&[1]), 3, 2);
         row!("Coarse-locked set", CoarseLocked::new(SeqSet::new(&[1])), 3, 3);
-        row!("Scratch pad (per-thread slots)", ScratchPad::new(&[1, 2], 6), 6, 1);
     }
     println!("\n(POR prunes interleavings of private/owned τ-steps — it mostly removes");
-    println!(" transitions and defers call branching; symmetry merges states that only");
-    println!(" differ by a permutation of per-thread data, which is where the state-");
-    println!(" count factor comes from on objects with per-thread slots.)");
+    println!(" transitions and defers call branching.)");
 }
 
 // ------------------------------------------------------ per-phase breakdown
@@ -673,7 +667,7 @@ fn phases() {
 
 /// Machine-diffable verdict lines: no state counts, no timings — only what
 /// must stay invariant under any sound reduction. CI runs this twice
-/// (`--reduce none` / `--reduce full`) and diffs the output byte-for-byte.
+/// (`--reduce none` / `--reduce por`) and diffs the output byte-for-byte.
 ///
 /// With `--cache DIR`, each conclusive verdict line is memoized per case; a
 /// second sweep replays every line byte-identically from the cache (CI runs
@@ -711,8 +705,8 @@ fn verdicts(reduce: ReduceMode, cache: Option<Cache>) {
                             )
                         } else {
                             (
-                                explore_reduced(&$alg, bound, reduce, &opts)?.0,
-                                explore_reduced(&AtomicSpec::new($spec), bound, reduce, &opts)?.0,
+                                explore_reduced(&$alg, bound, &opts)?.0,
+                                explore_reduced(&AtomicSpec::new($spec), bound, &opts)?.0,
                             )
                         };
                         let mut cfg = VerifyConfig::new(bound);

@@ -315,8 +315,8 @@ where
 /// specification) LTS pair for `bound` under the watchdog's budget.
 ///
 /// This is the plug point for alternative state-space constructions —
-/// `bb-reduce` passes an explorer that builds the partial-order/symmetry
-/// reduced systems, reusing the rungs and verdict scoping unchanged.
+/// `bb-reduce` passes an explorer that builds the partial-order reduced
+/// systems, reusing the rungs and verdict scoping unchanged.
 pub fn verify_case_governed_with(
     name: &'static str,
     config: &GovernedConfig,

@@ -1,12 +1,13 @@
 //! Compact state storage for the exploration engine (bb-compact).
 //!
-//! The exploration of [`crate::explore_with`] historically kept every
-//! discovered state **twice**: once as the key of the `HashMap<State,
-//! StateId>` seen-set and once on the id-indexed frontier list. This module
-//! replaces that bookkeeping with a single [`StateStore`] abstraction and
-//! two implementations:
+//! The exploration engine historically kept every discovered state
+//! **twice**: once as the key of the `HashMap<State, StateId>` seen-set and
+//! once on the id-indexed frontier list. This module replaces that
+//! bookkeeping with a single [`StateStore`] abstraction and two
+//! implementations:
 //!
-//! * [`HashStore`] — the rich-struct baseline: one `Vec<State>` (doubling as
+//! * [`HashStore`] — the rich-struct baseline, used only by the oracle
+//!   [`crate::oracle::explore_rich`]: one `Vec<State>` (doubling as
 //!   the BFS frontier, which is just an id range) plus a bare
 //!   open-addressing index of `(tag, id)` entries. States are stored once.
 //! * [`ArenaStore`] — the compact engine for semantics with a canonical
@@ -235,34 +236,31 @@ impl RawIndex {
 // HashStore — the rich-struct baseline, states stored once
 // ---------------------------------------------------------------------------
 
-/// Per-state deep-size hook of the metered baseline.
-pub(crate) type Sizer<S> = fn(&S, &<S as Semantics>::State) -> usize;
-
 /// Seen-set + frontier over rich state structs: one `Vec<State>` plus a
 /// [`RawIndex`]. Replaces the former `HashMap<State, StateId>` *and* the
-/// separate frontier list — states are stored exactly once.
+/// separate frontier list — states are stored exactly once. Every stored
+/// state's deep size ([`CodecSemantics::state_heap_bytes`]) is metered, so
+/// its memory figures compare truthfully against [`ArenaStore`].
 pub(crate) struct HashStore<S: Semantics> {
     states: Vec<S::State>,
     index: RawIndex,
-    /// Accumulated deep bytes of stored states (when a sizer is installed).
+    /// Accumulated deep bytes of stored states.
     deep_bytes: usize,
-    sizer: Option<Sizer<S>>,
     peak: usize,
 }
 
-impl<S: Semantics> HashStore<S> {
-    pub(crate) fn new(sizer: Option<Sizer<S>>) -> Self {
+impl<S: CodecSemantics> HashStore<S> {
+    pub(crate) fn new() -> Self {
         HashStore {
             states: Vec::new(),
             index: RawIndex::new(),
             deep_bytes: 0,
-            sizer,
             peak: 0,
         }
     }
 }
 
-impl<S: Semantics> StateStore<S> for HashStore<S> {
+impl<S: CodecSemantics> StateStore<S> for HashStore<S> {
     fn intern(&mut self, sem: &S, state: S::State) -> Result<(StateId, bool), SpillFault> {
         // DefaultHasher::new() uses fixed keys, so tags — and therefore
         // index layouts and probe statistics — are stable across runs.
@@ -276,9 +274,7 @@ impl<S: Semantics> StateStore<S> for HashStore<S> {
                 .probe_insert(tag, new_id, |cand| states[cand as usize] == state);
         bb_obs::hot::SEEN_PROBE_LEN.record(u64::from(probes));
         if fresh {
-            if let Some(sz) = self.sizer {
-                self.deep_bytes += sz(sem, &state);
-            }
+            self.deep_bytes += sem.state_heap_bytes(&state);
             self.states.push(state);
             let b = StateStore::<S>::bytes(self);
             if b > self.peak {
@@ -949,7 +945,7 @@ mod tests {
     #[test]
     fn hash_store_interns_once_and_reads_back() {
         let sem = Grid { side: 100 };
-        let mut store: HashStore<Grid> = HashStore::new(None);
+        let mut store: HashStore<Grid> = HashStore::new();
         let _ = fill_hash(&mut store, &sem, 500);
         assert_eq!(StateStore::<Grid>::len(&store), 500);
         let (id, fresh) = store.intern(&sem, (3, 4)).unwrap();

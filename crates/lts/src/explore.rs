@@ -15,8 +15,8 @@ use std::time::Duration;
 /// An operational semantics that can be unfolded into an [`Lts`].
 ///
 /// Implementors enumerate, for every reachable state, its outgoing labeled
-/// steps. The exploration in [`explore`] interns states by hash and performs
-/// a breadth-first unfolding, so state ids are assigned in BFS order and the
+/// steps. The exploration in [`explore_compact`] interns states by hash and
+/// performs a breadth-first unfolding, so state ids are assigned in BFS order and the
 /// resulting LTS is deterministic for a deterministic `successors`
 /// enumeration order.
 pub trait Semantics {
@@ -137,11 +137,11 @@ enum BudgetRef<'wd> {
 /// All the knobs of an exploration, replacing the former four-way
 /// `explore` / `_jobs` / `_governed` / `_governed_jobs` entry points.
 ///
-/// Compose with the builder methods and run with [`explore_with`]:
+/// Compose with the builder methods and run with [`explore_compact`]:
 ///
 /// ```
-/// use bb_lts::{explore_with, ExploreLimits, ExploreOptions};
-/// # use bb_lts::{Action, Semantics, ThreadId};
+/// use bb_lts::{explore_compact, ExploreLimits, ExploreOptions};
+/// # use bb_lts::{Action, CodecSemantics, Semantics, ThreadId};
 /// # struct Two;
 /// # impl Semantics for Two {
 /// #     type State = bool;
@@ -150,8 +150,12 @@ enum BudgetRef<'wd> {
 /// #         if !s { out.push((Action::tau(ThreadId(1)), true)); }
 /// #     }
 /// # }
+/// # impl CodecSemantics for Two {
+/// #     fn encode_state(&self, s: &bool, out: &mut Vec<u8>) { out.push(u8::from(*s)); }
+/// #     fn decode_state_into(&self, b: &[u8], s: &mut bool) { *s = b[0] != 0; }
+/// # }
 /// let opts = ExploreOptions::limits(ExploreLimits::default());
-/// let lts = explore_with(&Two, &opts)?;
+/// let (lts, _report) = explore_compact(&Two, &opts)?;
 /// assert_eq!(lts.num_states(), 2);
 /// # Ok::<(), bb_lts::budget::Exhausted>(())
 /// ```
@@ -208,7 +212,7 @@ impl<'wd> ExploreOptions<'wd> {
     }
 
     /// Installs a disk-spill tier for cold state-arena segments (see
-    /// [`SpillBackend`]); only [`explore_compact`] consults it.
+    /// [`SpillBackend`]).
     pub fn with_spill(mut self, spill: &'wd dyn SpillBackend) -> Self {
         self.spill = Some(spill);
         self
@@ -239,32 +243,17 @@ pub struct ExploreReport {
 }
 
 /// Unfolds `sem` into an explicit [`Lts`] by breadth-first exploration,
-/// configured by `opts`, through the rich hash-map seen-set — the engine
-/// for semantics without a state codec (see [`explore_compact`] for the
-/// bit-packed arena every `bb-sim` system uses).
+/// configured by `opts` — the one exploration engine. States are hashed,
+/// stored and compared as their canonical byte encodings, in a
+/// prefix-compressed arena that can spill cold segments to `opts.spill()`
+/// under memory pressure. The produced [`Lts`] is bit-identical with or
+/// without a spill tier, and to the rich-struct
+/// [`oracle::explore_rich`]; the [`ExploreReport`] carries the store's own
+/// size figures.
 ///
 /// The exploration accounts every interned state, every recorded transition
-/// and an approximate memory estimate against the budget, and observes the
-/// deadline and cancellation token from the BFS loop.
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] (stage [`Stage::Explore`]) when any budget axis
-/// trips; the partial statistics describe the aborted frontier.
-pub fn explore_with<S: Semantics>(
-    sem: &S,
-    opts: &ExploreOptions<'_>,
-) -> Result<Lts, Exhausted> {
-    let mut store: HashStore<S> = HashStore::new(None);
-    with_watchdog(opts, |wd| explore_impl(sem, &mut store, wd)).map(|(lts, _)| lts)
-}
-
-/// The compact engine: states are hashed, stored and compared as their
-/// canonical byte encodings, in a prefix-compressed arena that can spill
-/// cold segments to `opts.spill()` under memory pressure. The produced
-/// [`Lts`] is bit-identical to [`explore_with`], with or without a spill
-/// tier; the [`ExploreReport`] carries the store's own
-/// size figures.
+/// and the store's and LTS arrays' actual bytes against the budget, and
+/// observes the deadline and cancellation token from the BFS loop.
 ///
 /// # Errors
 ///
@@ -298,7 +287,7 @@ pub mod oracle {
         sem: &S,
         opts: &ExploreOptions<'_>,
     ) -> Result<(Lts, ExploreReport), Exhausted> {
-        let mut store: HashStore<S> = HashStore::new(Some(S::state_heap_bytes));
+        let mut store: HashStore<S> = HashStore::new();
         with_watchdog(opts, |wd| explore_impl(sem, &mut store, wd))
     }
 }
@@ -406,18 +395,6 @@ impl MemSync {
     }
 }
 
-/// Unfolds `sem` into an explicit [`Lts`] by breadth-first exploration.
-///
-/// Shorthand for [`explore_with`] with cap-only limits (the common case in
-/// tests and examples).
-///
-/// # Errors
-///
-/// Returns [`ExploreError`] if the reachable state space exceeds `limits`.
-pub fn explore<S: Semantics>(sem: &S, limits: ExploreLimits) -> Result<Lts, ExploreError> {
-    explore_with(sem, &ExploreOptions::limits(limits)).map_err(ExploreError::from)
-}
-
 fn explore_serial<S: Semantics, ST: StateStore<S>>(
     sem: &S,
     store: &mut ST,
@@ -511,8 +488,14 @@ mod tests {
     use super::*;
     use crate::ThreadId;
 
-    fn gov<S: Semantics>(sem: &S, wd: &Watchdog) -> Result<Lts, Exhausted> {
-        explore_with(sem, &ExploreOptions::governed(wd))
+    fn gov<S: CodecSemantics>(sem: &S, wd: &Watchdog) -> Result<Lts, Exhausted> {
+        explore_compact(sem, &ExploreOptions::governed(wd)).map(|(lts, _)| lts)
+    }
+
+    fn explore<S: CodecSemantics>(sem: &S, limits: ExploreLimits) -> Result<Lts, ExploreError> {
+        explore_compact(sem, &ExploreOptions::limits(limits))
+            .map(|(lts, _)| lts)
+            .map_err(ExploreError::from)
     }
 
     /// A counter from 0 to `max` with an increment loop.
@@ -533,6 +516,15 @@ mod tests {
             } else {
                 out.push((Action::ret(ThreadId(1), "done", Some(*s as i64)), 0));
             }
+        }
+    }
+
+    impl CodecSemantics for Counter {
+        fn encode_state(&self, s: &u32, out: &mut Vec<u8>) {
+            out.extend_from_slice(&s.to_be_bytes());
+        }
+        fn decode_state_into(&self, bytes: &[u8], state: &mut u32) {
+            *state = u32::from_be_bytes(bytes[0..4].try_into().unwrap());
         }
     }
 
@@ -676,7 +668,7 @@ mod tests {
             depth: 12,
             fanout: 9,
         };
-        let baseline = explore_with(&sem, &ExploreOptions::default()).unwrap();
+        let (baseline, _) = oracle::explore_rich(&sem, &ExploreOptions::default()).unwrap();
         let (compact, report) = explore_compact(&sem, &ExploreOptions::default()).unwrap();
         assert_eq!(compact.num_states(), baseline.num_states());
         assert_eq!(
@@ -723,9 +715,8 @@ mod tests {
     #[test]
     fn spill_preserves_lts_bit_identically() {
         let sem = Blob { n: 600, back: true };
-        let baseline = explore_with(&sem, &ExploreOptions::default()).unwrap();
-        let (_, unspilled) =
-            explore_compact(&sem, &ExploreOptions::default()).unwrap();
+        let (baseline, _) = oracle::explore_rich(&sem, &ExploreOptions::default()).unwrap();
+        let (_, unspilled) = explore_compact(&sem, &ExploreOptions::default()).unwrap();
         // Cap at roughly half the in-core peak: only spilling keeps the run
         // under it, and the 5/8 high-water mark is crossed mid-run.
         let cap = unspilled.stats.memory_bytes / 2;

@@ -4,10 +4,10 @@
 //! the workspace: the [`Lts`] arena representation of a finite labeled
 //! transition system (Definition 2.1 of the paper), the [`Action`] alphabet of
 //! object systems (`t.call.m(n)`, `t.ret(n').m` and internal `τ` steps), the
-//! [`Semantics`] trait plus [`explore`] function that turn an operational
-//! semantics into an explicit LTS, and a toolbox of graph analyses (Tarjan
-//! SCCs, reachability, τ-closures, DOT export) used by the equivalence
-//! checking crates.
+//! [`Semantics`]/[`CodecSemantics`] traits plus the [`explore_compact`]
+//! engine that turn an operational semantics into an explicit LTS, and a
+//! toolbox of graph analyses (Tarjan SCCs, reachability, τ-closures, DOT
+//! export) used by the equivalence checking crates.
 //!
 //! # Example
 //!
@@ -50,8 +50,7 @@ pub use builder::LtsBuilder;
 pub use compact::{CodecSemantics, SpillBackend, StoreMetrics};
 pub use dot::to_dot;
 pub use explore::{
-    explore, explore_compact, explore_with, oracle, ExploreError, ExploreLimits, ExploreOptions,
-    ExploreReport, Semantics,
+    explore_compact, oracle, ExploreError, ExploreLimits, ExploreOptions, ExploreReport, Semantics,
 };
 pub use jobs::Jobs;
 pub use lts::{Lts, PredecessorTable, StateId, Transition};

@@ -2,8 +2,7 @@
 //! log2-bucket histograms.
 //!
 //! These live in the innermost loops (signature recomputation, τ-closure
-//! construction, ample-set selection, symmetry canonicalization, the
-//! parallel shard merge), so the design rule is: **one relaxed load when
+//! construction, ample-set selection, seen-set probes), so the design rule is: **one relaxed load when
 //! recording is off, one relaxed RMW when it is on**. No locks, no
 //! allocation, no branches on anything but the global enable flag.
 //!
@@ -108,8 +107,8 @@ impl Gauge {
 /// catch-all for anything larger.
 const HIST_BUCKETS: usize = 33;
 
-/// A lock-free power-of-two histogram for size distributions (symmetry
-/// orbit sizes, per-shard imbalance percentages).
+/// A lock-free power-of-two histogram for size distributions (seen-set
+/// probe lengths, fsync latencies).
 pub struct Histogram {
     name: &'static str,
     buckets: [AtomicU64; HIST_BUCKETS],
@@ -214,10 +213,6 @@ pub static AMPLE_HITS: Counter = Counter::new("reduce.ample_hits");
 pub static AMPLE_MISSES: Counter = Counter::new("reduce.ample_misses");
 /// Ample candidates discarded by the C3/divergence proviso.
 pub static AMPLE_FALLBACKS: Counter = Counter::new("reduce.ample_proviso_fallbacks");
-/// States merged into a previously seen symmetry-canonical representative.
-pub static SYM_MERGES: Counter = Counter::new("reduce.sym_merges");
-/// States whose orbit exceeded the cap and were left uncanonicalized.
-pub static SYM_SKIPS: Counter = Counter::new("reduce.sym_skips");
 /// Product states expanded by the antichain trace-refinement check.
 pub static REFINE_PRODUCT_STATES: Counter = Counter::new("refine.product_states");
 /// Distinct spec-subset vectors interned by trace refinement.
@@ -267,8 +262,6 @@ pub static EXPLORE_STORE_BYTES: Gauge = Gauge::new("explore.store_bytes");
 /// compression plus varint framing; 100 = no compression).
 pub static COMPACT_COMPRESSION_PCT: Gauge = Gauge::new("compact.compression_pct");
 
-/// Symmetry orbit sizes searched during canonicalization.
-pub static ORBIT_SIZE: Histogram = Histogram::new("reduce.sym.orbit_size");
 /// Journal append fsync latency (µs) in the serve daemon — the per-submit
 /// durability cost on the admission path.
 pub static JOURNAL_FSYNC_US: Histogram = Histogram::new("serve.journal_fsync_us");
@@ -276,7 +269,7 @@ pub static JOURNAL_FSYNC_US: Histogram = Histogram::new("serve.journal_fsync_us"
 /// (0 = direct hit; long tails indicate index pressure).
 pub static SEEN_PROBE_LEN: Histogram = Histogram::new("explore.seen_probe_len");
 
-static COUNTERS: [&Counter; 29] = [
+static COUNTERS: [&Counter; 27] = [
     &SIG_STATE_RECOMPUTES,
     &SIG_ROUNDS,
     &SIG_DIRTY_STATES,
@@ -286,8 +279,6 @@ static COUNTERS: [&Counter; 29] = [
     &AMPLE_HITS,
     &AMPLE_MISSES,
     &AMPLE_FALLBACKS,
-    &SYM_MERGES,
-    &SYM_SKIPS,
     &REFINE_PRODUCT_STATES,
     &REFINE_SUBSETS,
     &LTL_PRODUCT_STATES,
@@ -314,7 +305,7 @@ static GAUGES: [&Gauge; 3] = [
     &COMPACT_COMPRESSION_PCT,
 ];
 
-static HISTOGRAMS: [&Histogram; 3] = [&ORBIT_SIZE, &JOURNAL_FSYNC_US, &SEEN_PROBE_LEN];
+static HISTOGRAMS: [&Histogram; 2] = [&JOURNAL_FSYNC_US, &SEEN_PROBE_LEN];
 
 /// Reset every registered instrument (called by `install`).
 pub(crate) fn reset_all() {

@@ -832,11 +832,11 @@ mod tests {
             progress: false,
             quiet: true, // don't spam test stderr
         });
-        diag!("reduction {} [{}]: demo", "full", "treiber");
+        diag!("reduction {} [{}]: demo", "por", "treiber");
         let session = finish().expect("session");
         let trace = session.trace_ndjson();
         assert!(trace.contains("\"ev\": \"diag\""));
-        assert!(trace.contains("reduction full [treiber]: demo"));
+        assert!(trace.contains("reduction por [treiber]: demo"));
         set_quiet(false);
     }
 

@@ -33,7 +33,7 @@ use std::collections::HashSet;
 const CHAIN_CAP: usize = 256;
 
 /// The designated ample candidate of `state`, if any: action plus target
-/// (heap-canonicalized by `thread_successors`, not yet symmetry-reduced).
+/// (heap-canonicalized by `thread_successors`).
 #[allow(clippy::type_complexity)]
 pub(crate) fn candidate<A: ObjectAlgorithm>(
     system: &System<'_, A>,
@@ -59,18 +59,15 @@ pub(crate) fn candidate<A: ObjectAlgorithm>(
     None
 }
 
-/// Chases the chain of designated steps starting at `first_target`,
-/// canonicalizing each state with `canon` exactly as the explorer interns
-/// them. Returns `true` when the chain reaches a state with no designated
-/// step within [`CHAIN_CAP`] hops; `false` on a revisit (τ-cycle of
-/// designated steps) or cap overflow.
+/// Chases the chain of designated steps starting at `first_target`.
+/// Returns `true` when the chain reaches a state with no designated step
+/// within [`CHAIN_CAP`] hops; `false` on a revisit (τ-cycle of designated
+/// steps) or cap overflow.
 pub(crate) fn chain_terminates<A: ObjectAlgorithm>(
     system: &System<'_, A>,
     first_target: &SysState<A::Shared, A::Frame>,
-    canon: impl Fn(&mut SysState<A::Shared, A::Frame>),
 ) -> bool {
     let mut cur = first_target.clone();
-    canon(&mut cur);
     let mut visited: HashSet<SysState<A::Shared, A::Frame>> = HashSet::new();
     for _ in 0..CHAIN_CAP {
         if !visited.insert(cur.clone()) {
@@ -78,10 +75,7 @@ pub(crate) fn chain_terminates<A: ObjectAlgorithm>(
         }
         match candidate(system, &cur) {
             None => return true,
-            Some((_, next)) => {
-                cur = next;
-                canon(&mut cur);
-            }
+            Some((_, next)) => cur = next,
         }
     }
     false

@@ -1,8 +1,8 @@
 //! The differential equivalence harness: the headline correctness tool of
 //! the reduction subsystem.
 //!
-//! For a given algorithm, bound and mode, [`differential_check`] builds the
-//! state space twice — unreduced and reduced — and checks that
+//! For a given algorithm and bound, [`differential_check`] builds the state
+//! space twice — unreduced and reduced — and checks that
 //!
 //! 1. the two LTSs are **divergence-sensitive branching bisimilar**
 //!    (`≈div`, the exact equivalence every verification theorem of the
@@ -11,11 +11,9 @@
 //!    branching-bisimulation quotients + trace refinement, lock-freedom via
 //!    the divergence check) is **identical** on both.
 //!
-//! A reduction layer with an unsound annotation (a footprint that is not
-//! hereditary, a `rename_threads` that moves observable data) shows up here
+//! An unsound annotation (a footprint that is not hereditary) shows up here
 //! as a `≈div` mismatch long before it could corrupt a verdict.
 
-use crate::mode::ReduceMode;
 use crate::reducer::{explore_reduced, ReduceStats};
 use bb_core::{verify_case_lts, VerifyConfig};
 use bb_lts::budget::{Exhausted, Watchdog};
@@ -27,8 +25,6 @@ use bb_sim::{explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, Sequential
 pub struct DifferentialReport {
     /// Algorithm name.
     pub name: &'static str,
-    /// Reduction mode under test.
-    pub mode: ReduceMode,
     /// Client bound.
     pub bound: Bound,
     /// States / transitions of the unreduced implementation LTS.
@@ -70,9 +66,8 @@ impl DifferentialReport {
     /// One-line rendering for sweep output.
     pub fn render(&self) -> String {
         format!(
-            "{:<32} {:<4} {}-{}: full {}/{} reduced {}/{} ({:.2}x) ≈div {} verdicts {} [{}]",
+            "{:<32} {}-{}: full {}/{} reduced {}/{} ({:.2}x) ≈div {} verdicts {} [{}]",
             self.name,
-            self.mode,
             self.bound.threads,
             self.bound.ops_per_thread,
             self.full_states,
@@ -98,7 +93,6 @@ pub fn differential_check<A, S>(
     alg: &A,
     spec: &AtomicSpec<S>,
     bound: Bound,
-    mode: ReduceMode,
     check_lock_freedom: bool,
 ) -> Result<DifferentialReport, Exhausted>
 where
@@ -110,8 +104,8 @@ where
 
     let full_imp = explore_system_with(alg, bound, &opts)?;
     let full_spec = explore_system_with(spec, bound, &opts)?;
-    let (red_imp, stats) = explore_reduced(alg, bound, mode, &opts)?;
-    let (red_spec, _) = explore_reduced(spec, bound, mode, &opts)?;
+    let (red_imp, stats) = explore_reduced(alg, bound, &opts)?;
+    let (red_spec, _) = explore_reduced(spec, bound, &opts)?;
 
     let equivalent = bb_bisim::bisimilar(&full_imp, &red_imp, bb_bisim::Equivalence::BranchingDiv)
         && bb_bisim::bisimilar(&full_spec, &red_spec, bb_bisim::Equivalence::BranchingDiv);
@@ -130,7 +124,6 @@ where
 
     Ok(DifferentialReport {
         name: alg.name(),
-        mode,
         bound,
         full_states: full_imp.num_states(),
         full_transitions: full_imp.num_transitions(),

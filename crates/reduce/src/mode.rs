@@ -1,65 +1,55 @@
-//! Reduction mode selection (`--reduce {none,sym,por,full}`).
+//! Reduction mode selection (`--reduce {none,por}`).
 
 use std::fmt;
 use std::str::FromStr;
 
-/// Which reduction layers to apply during exploration.
+/// Whether exploration unfolds the reduced system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReduceMode {
-    /// No reduction: the reduced system is the plain most general client.
+    /// No reduction: the plain most general client is explored.
     #[default]
     None,
-    /// Thread-symmetry canonicalization only.
-    Sym,
-    /// Ample-set partial-order reduction only.
+    /// Ample-set partial-order reduction.
     Por,
-    /// Both layers.
-    Full,
-}
-
-impl ReduceMode {
-    /// Whether thread-symmetry canonicalization is on.
-    pub fn sym(self) -> bool {
-        matches!(self, ReduceMode::Sym | ReduceMode::Full)
-    }
-
-    /// Whether ample-set partial-order reduction is on.
-    pub fn por(self) -> bool {
-        matches!(self, ReduceMode::Por | ReduceMode::Full)
-    }
-
-    /// Every mode, in increasing strength.
-    pub const ALL: [ReduceMode; 4] = [
-        ReduceMode::None,
-        ReduceMode::Sym,
-        ReduceMode::Por,
-        ReduceMode::Full,
-    ];
 }
 
 impl fmt::Display for ReduceMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             ReduceMode::None => "none",
-            ReduceMode::Sym => "sym",
             ReduceMode::Por => "por",
-            ReduceMode::Full => "full",
         })
     }
 }
 
+/// Parses `none` and `por`. The retired modes `sym` and `full` (thread
+/// symmetry alone, and symmetry plus POR) still parse, as `none` and `por`
+/// respectively, with a one-line stderr note: old command lines, journal
+/// lines and checkpoints must stay readable. Their `Display` is that of the
+/// mode they map onto, so cache keys and checkpoint tags written under the
+/// retired names never match and are recomputed.
 impl FromStr for ReduceMode {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "none" => Ok(ReduceMode::None),
-            "sym" => Ok(ReduceMode::Sym),
             "por" => Ok(ReduceMode::Por),
-            "full" => Ok(ReduceMode::Full),
-            other => Err(format!(
-                "unknown reduction mode `{other}` (expected none|sym|por|full)"
-            )),
+            "sym" => {
+                eprintln!(
+                    "note: --reduce sym is retired (thread-symmetry reduction was removed); \
+                     running --reduce none"
+                );
+                Ok(ReduceMode::None)
+            }
+            "full" => {
+                eprintln!(
+                    "note: --reduce full is retired (thread symmetry was removed); \
+                     running --reduce por"
+                );
+                Ok(ReduceMode::Por)
+            }
+            other => Err(format!("unknown reduction mode `{other}` (expected none|por)")),
         }
     }
 }
@@ -70,17 +60,15 @@ mod tests {
 
     #[test]
     fn parse_roundtrip() {
-        for m in ReduceMode::ALL {
+        for m in [ReduceMode::None, ReduceMode::Por] {
             assert_eq!(m.to_string().parse::<ReduceMode>().unwrap(), m);
         }
         assert!("por2".parse::<ReduceMode>().is_err());
     }
 
     #[test]
-    fn layer_flags() {
-        assert!(!ReduceMode::None.sym() && !ReduceMode::None.por());
-        assert!(ReduceMode::Sym.sym() && !ReduceMode::Sym.por());
-        assert!(!ReduceMode::Por.sym() && ReduceMode::Por.por());
-        assert!(ReduceMode::Full.sym() && ReduceMode::Full.por());
+    fn retired_modes_map_onto_live_ones() {
+        assert_eq!("sym".parse::<ReduceMode>().unwrap(), ReduceMode::None);
+        assert_eq!("full".parse::<ReduceMode>().unwrap(), ReduceMode::Por);
     }
 }

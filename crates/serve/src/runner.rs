@@ -238,7 +238,7 @@ fn explore<A: ObjectAlgorithm>(
     if spec.reduce == ReduceMode::None {
         return explore_system_with(alg, bound, &eo);
     }
-    let (lts, stats) = explore_reduced(alg, bound, spec.reduce, &eo)?;
+    let (lts, stats) = explore_reduced(alg, bound, &eo)?;
     bb_obs::diag!("reduction {} [{}]: {stats}", spec.reduce, alg.name());
     Ok(lts)
 }
@@ -402,8 +402,7 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
 }
 
 /// `reduce-check`: run the differential harness — full and reduced state
-/// spaces must be `≈div` with identical verdicts. `--reduce` selects the
-/// layer under test (default: `full`, both layers).
+/// spaces must be `≈div` with identical verdicts.
 fn reduce_check<A: ObjectAlgorithm, S: SequentialSpec>(
     alg: &A,
     seq: &AtomicSpec<S>,
@@ -412,13 +411,8 @@ fn reduce_check<A: ObjectAlgorithm, S: SequentialSpec>(
     non_blocking: bool,
     out: &mut RunOutput,
 ) -> i32 {
-    let mode = if spec.reduce == ReduceMode::None {
-        ReduceMode::Full
-    } else {
-        spec.reduce
-    };
     let lock_freedom = spec.check_lock_freedom && non_blocking;
-    match differential_check(alg, seq, bound, mode, lock_freedom) {
+    match differential_check(alg, seq, bound, lock_freedom) {
         Ok(r) => {
             outln!(out, "{}", r.render());
             if r.passed() {

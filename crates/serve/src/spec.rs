@@ -329,9 +329,10 @@ impl JobSpec {
     /// [`to_json`](JobSpec::to_json), tolerant of member order). Unknown
     /// members are rejected so a typo'd budget flag can't silently run an
     /// unbounded job. The retired engine switches `refine` (`"full"` or
-    /// `"incremental"`) and `fuse` are still accepted and ignored, and
-    /// `jobs` (at least 1) is kept but never read, so journal lines and
-    /// requests written by earlier releases stay readable.
+    /// `"incremental"`) and `fuse` are still accepted and ignored, the
+    /// retired `reduce` modes `"sym"` and `"full"` parse as `"none"` and
+    /// `"por"`, and `jobs` (at least 1) is kept but never read, so journal
+    /// lines and requests written by earlier releases stay readable.
     pub fn from_json(v: &JsonValue) -> Result<JobSpec, String> {
         let obj = v.as_object().ok_or("spec must be a JSON object")?;
         let mut spec = JobSpec::default();
@@ -621,6 +622,27 @@ mod tests {
             bb_sim::STATE_ENCODING_VERSION
         );
         assert_eq!(spec.config_tag(), bb_lts::snapshot::fnv1a(0, desc.as_bytes()));
+    }
+
+    /// The retired reduce modes parse onto live ones (`sym` → `none`,
+    /// `full` → `por`) and so share their cache keys and checkpoint tags;
+    /// entries written under the old names never match and are recomputed.
+    #[test]
+    fn retired_reduce_modes_share_the_live_modes_keys() {
+        let with = |mode: &str| JobSpec {
+            algorithm: "treiber".into(),
+            reduce: mode.parse().unwrap(),
+            ..JobSpec::default()
+        };
+        for (retired, live) in [("sym", "none"), ("full", "por")] {
+            assert_eq!(with(retired).cache_key(), with(live).cache_key());
+            assert_eq!(with(retired).config_tag(), with(live).config_tag());
+            assert!(with(retired).cache_key().contains(&format!("|reduce={live}|")));
+        }
+        assert_ne!(with("por").config_tag(), with("none").config_tag());
+        let line = r#"{"algorithm": "treiber", "reduce": "sym"}"#;
+        let spec = JobSpec::from_json(&parse(line).unwrap()).unwrap();
+        assert_eq!(spec.reduce, ReduceMode::None);
     }
 
     #[test]

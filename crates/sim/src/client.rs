@@ -98,9 +98,8 @@ impl<F: Pack> Pack for ThreadStatus<F> {
 }
 
 /// The live frames of a system state — the frame of every running thread,
-/// in thread order — as [`ObjectAlgorithm::canonicalize`] and
-/// [`ObjectAlgorithm::rename_threads`] see them. A view over the thread
-/// statuses, so handing it out allocates nothing.
+/// in thread order — as [`ObjectAlgorithm::canonicalize`] sees them. A
+/// view over the thread statuses, so handing it out allocates nothing.
 pub struct Frames<'a, F> {
     threads: &'a mut [ThreadStatus<F>],
 }
@@ -141,8 +140,8 @@ pub struct SysState<S, F> {
 /// The most general client driving an [`ObjectAlgorithm`]: `threads`
 /// concurrent threads repeatedly invoke arbitrary methods with arbitrary
 /// parameters, up to the bound. Implements [`Semantics`], so
-/// [`bb_lts::explore`] (or [`explore_system`]) unfolds it into the object
-/// LTS of Definition 2.1.
+/// [`bb_lts::explore_compact`] (or [`explore_system`]) unfolds it into the
+/// object LTS of Definition 2.1.
 ///
 /// A `System` owns the work buffers of successor generation (the step
 /// outcomes and the heap-canonicalization scratch), reused across calls so
@@ -346,9 +345,9 @@ where
 ///
 /// States are interned as canonical bit-packed encodings in the compact
 /// arena seen-set ([`explore_compact`]); the LTS is bit-identical to the
-/// rich-struct oracle ([`bb_lts::oracle::explore_rich`]). Reduction layers
-/// (`bb-reduce`) wrap the [`System`] semantics and hand it to
-/// [`bb_lts::explore_with`] instead.
+/// rich-struct oracle ([`bb_lts::oracle::explore_rich`]). The reduction
+/// layer (`bb-reduce`) wraps the [`System`] semantics and explores it
+/// through the same arena.
 ///
 /// # Errors
 ///

@@ -6,7 +6,7 @@
 //! and the *most general client* ([`System`]) drives a bounded number of
 //! threads that repeatedly invoke the object's methods with every possible
 //! parameter (Section II-B). Unfolding a [`System`] with
-//! [`bb_lts::explore`] yields the object LTS of Definition 2.1: call and
+//! [`bb_lts::explore_compact`] yields the object LTS of Definition 2.1: call and
 //! return actions are visible, every program step is an internal τ tagged
 //! with its source line for diagnostics.
 //!
@@ -29,7 +29,7 @@ mod pack;
 mod ptr;
 mod spec;
 
-pub use algorithm::{Footprint, MethodId, MethodSpec, ObjectAlgorithm, Outcome, ThreadPerm};
+pub use algorithm::{Footprint, MethodId, MethodSpec, ObjectAlgorithm, Outcome};
 pub use client::{
     explore_system, explore_system_report, explore_system_with, Bound, Frames, SysState, System,
     ThreadStatus,

@@ -1,8 +1,8 @@
 //! State-space reduction under ≈-quotienting (the Fig. 10 experiment in
 //! miniature): fix 2 threads, vary operations, and watch the quotient stay
 //! orders of magnitude smaller than the object system. Each row also shows
-//! the *on-the-fly* reduction (`--reduce full`: ample-set POR +
-//! thread-symmetry), which shrinks the LTS **before** quotienting without
+//! the *on-the-fly* reduction (`--reduce por`: ample-set partial-order
+//! reduction), which shrinks the LTS **before** quotienting without
 //! changing any verdict.
 //!
 //! ```sh
@@ -12,7 +12,7 @@
 use bbverify::algorithms::{ms_queue::MsQueue, treiber::Treiber, treiber_hp::TreiberHp};
 use bbverify::bisim::{partition, quotient, Equivalence};
 use bbverify::lts::ExploreOptions;
-use bbverify::reduce::{explore_reduced, ReduceMode};
+use bbverify::reduce::explore_reduced;
 use bbverify::sim::{explore_system_with, Bound, ObjectAlgorithm};
 
 fn sweep<A: ObjectAlgorithm>(name: &str, alg: &A, max_ops: u32) {
@@ -31,7 +31,7 @@ fn sweep<A: ObjectAlgorithm>(name: &str, alg: &A, max_ops: u32) {
                 break;
             }
         };
-        let (reduced, stats) = match explore_reduced(alg, bound, ReduceMode::Full, &opts) {
+        let (reduced, stats) = match explore_reduced(alg, bound, &opts) {
             Ok(r) => r,
             Err(e) => {
                 println!("{ops:>5} (reduced exploration aborted: {e})");

@@ -224,7 +224,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--reduce" => {
                 opts.reduce = it
                     .next()
-                    .ok_or("--reduce needs a mode: none, sym, por, full")?
+                    .ok_or("--reduce needs a mode: none or por")?
                     .parse()?;
             }
             "--metrics" => {
@@ -277,7 +277,8 @@ fn print_usage() {
     eprintln!("           --no-lock-freedom  --wait-freedom  --dot FILE  --aut FILE");
     eprintln!("           --formula \"G F (ret | done)\"   (for `check`)");
     eprintln!("           --jobs N   (retired: accepted and ignored; every stage is serial)");
-    eprintln!("           --reduce none|sym|por|full   (state-space reduction; ≈div-preserving)");
+    eprintln!("           --reduce none|por   (partial-order reduction; ≈div-preserving;");
+    eprintln!("           the retired sym|full are accepted and run as none|por)");
     eprintln!("           `reduce-check <algorithm|all>` cross-checks the reduction: the");
     eprintln!("           reduced LTS must be ≈div the full one with identical verdicts");
     eprintln!("  observe: --metrics FILE   (phase spans + counters as one JSON document)");

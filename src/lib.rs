@@ -15,8 +15,8 @@
 //! * [`algorithms`] — the 14 benchmark data structures, their sequential
 //!   specifications and abstract programs.
 //! * [`core`] — the two verification methods of Fig. 1.
-//! * [`reduce`] — on-the-fly partial-order + thread-symmetry reduction
-//!   with a differential `≈div` equivalence harness.
+//! * [`reduce`] — on-the-fly ample-set partial-order reduction with a
+//!   differential `≈div` equivalence harness.
 //! * [`serve`] — verification-as-a-service: the shared job runner and the
 //!   `bbv serve` daemon (queue, journal, cache-backed admission, live
 //!   progress streaming).

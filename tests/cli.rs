@@ -67,31 +67,43 @@ fn lock_freedom_violation_prints_loop() {
 /// directory, and its stdout is byte-identical to the same run without one.
 #[test]
 fn quotient_spills_under_a_memory_cap() {
-    let dir = std::env::temp_dir().join(format!("bbv-quotient-spill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let args = [
-        "quotient", "newcas", "--threads", "3", "--ops", "3", "--max-memory", "6e6", "--jobs", "1",
-    ];
-    let plain = bbv(&args);
-    assert_eq!(plain.status.code(), Some(0), "{}", String::from_utf8_lossy(&plain.stderr));
-    let mut with_spill = args.to_vec();
-    with_spill.extend(["--spill", dir.to_str().unwrap()]);
-    let spilled = bbv(&with_spill);
-    assert_eq!(spilled.status.code(), Some(0), "{}", String::from_utf8_lossy(&spilled.stderr));
-    assert_eq!(
-        String::from_utf8_lossy(&spilled.stdout),
-        String::from_utf8_lossy(&plain.stdout)
-    );
-    let segments = std::fs::read_dir(&dir)
-        .expect("spill directory created")
-        .filter_map(Result::ok)
-        .filter(|e| {
-            let name = e.file_name().to_string_lossy().into_owned();
-            name.starts_with("seg-") && name.ends_with(".bbp")
-        })
-        .count();
-    assert!(segments >= 1, "quotient under a 6 MB cap must spill");
-    let _ = std::fs::remove_dir_all(&dir);
+    // The reduced system explores through the same arena store, so it
+    // spills the same way.
+    for extra in [&[][..], &["--reduce", "por"][..]] {
+        let dir = std::env::temp_dir().join(format!("bbv-quotient-spill-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut args = vec![
+            "quotient", "newcas", "--threads", "3", "--ops", "3", "--max-memory", "6e6", "--jobs",
+            "1",
+        ];
+        args.extend(extra);
+        let plain = bbv(&args);
+        assert_eq!(plain.status.code(), Some(0), "{}", String::from_utf8_lossy(&plain.stderr));
+        let mut with_spill = args.clone();
+        with_spill.extend(["--spill", dir.to_str().unwrap()]);
+        let spilled = bbv(&with_spill);
+        assert_eq!(
+            spilled.status.code(),
+            Some(0),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&spilled.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&spilled.stdout),
+            String::from_utf8_lossy(&plain.stdout),
+            "{extra:?}"
+        );
+        let segments = std::fs::read_dir(&dir)
+            .expect("spill directory created")
+            .filter_map(Result::ok)
+            .filter(|e| {
+                let name = e.file_name().to_string_lossy().into_owned();
+                name.starts_with("seg-") && name.ends_with(".bbp")
+            })
+            .count();
+        assert!(segments >= 1, "{extra:?}: quotient under a 6 MB cap must spill");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

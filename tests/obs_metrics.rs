@@ -246,16 +246,16 @@ fn histograms_appear_on_reduced_runs() {
     let m = tmp("hist_m.json");
     let out = bbv(&[
         "verify", "treiber", "--threads", "2", "--ops", "1", "--domain", "1",
-        "--reduce", "sym", "--metrics", m.to_str().unwrap(),
+        "--reduce", "por", "--metrics", m.to_str().unwrap(),
     ]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let doc = parse(&std::fs::read_to_string(&m).unwrap()).unwrap();
     let _ = std::fs::remove_file(m);
     let hist = doc.get("histograms").and_then(JsonValue::as_object).expect("histograms object");
-    let orbit = hist.iter().find(|(k, _)| k == "reduce.sym.orbit_size");
-    let (_, orbit) = orbit.expect("symmetry reduction records the orbit-size histogram");
-    assert!(orbit.get("count").unwrap().as_u64().unwrap() > 0);
-    let buckets = orbit.get("buckets").and_then(JsonValue::as_array).unwrap();
+    let probes = hist.iter().find(|(k, _)| k == "explore.seen_probe_len");
+    let (_, probes) = probes.expect("reduced exploration records the seen-set probe histogram");
+    assert!(probes.get("count").unwrap().as_u64().unwrap() > 0);
+    let buckets = probes.get("buckets").and_then(JsonValue::as_array).unwrap();
     for b in buckets {
         let pair = b.as_array().expect("bucket is a [upper_bound, count] pair");
         assert_eq!(pair.len(), 2);

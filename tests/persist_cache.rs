@@ -197,9 +197,20 @@ fn distinct_configurations_use_distinct_entries() {
 
     // A different reduce mode is a different result: new entry.
     let mut reduced: Vec<&str> = base.to_vec();
-    reduced.extend(["--reduce", "sym"]);
+    reduced.extend(["--reduce", "por"]);
     assert_eq!(bbv(&reduced, &[]).status.code(), Some(0));
     assert_eq!(entry_files(&dir).len(), 2);
+
+    // The retired modes run as live ones and hit their entries:
+    // `full` is `por`, `sym` is `none`.
+    for (retired, live) in [("full", &reduced[..]), ("sym", &base[..])] {
+        let mut args: Vec<&str> = base.to_vec();
+        args.extend(["--reduce", retired]);
+        let out = bbv(&args, &[]);
+        assert_eq!(out.status.code(), Some(0));
+        assert_eq!(out.stdout, bbv(live, &[]).stdout, "--reduce {retired}");
+        assert_eq!(entry_files(&dir).len(), 2, "--reduce {retired} must hit a live entry");
+    }
 
     // A different --jobs is the *same* result: must hit entry one.
     let mut jobs: Vec<&str> = base.to_vec();

@@ -1,8 +1,8 @@
 //! Differential equivalence harness for the `bb-reduce` subsystem.
 //!
 //! For **every** algorithm in `crates/algorithms` (the full `bbv list`
-//! roster) this test builds the state space twice — unreduced and with the
-//! reduction layers enabled — and asserts that
+//! roster) this test builds the state space twice — unreduced and with
+//! partial-order reduction — and asserts that
 //!
 //! 1. the reduced LTS is divergence-sensitive branching bisimilar (`≈div`)
 //!    to the full one (for the implementation *and* the spec), and
@@ -22,33 +22,29 @@ use bbverify::algorithms::{
 };
 use bbverify::bisim::{oracle, partition, Equivalence, PartitionOptions};
 use bbverify::lts::{to_aut, ExploreOptions, Watchdog};
-use bbverify::reduce::{differential_check, explore_reduced, DifferentialReport, ReduceMode};
+use bbverify::reduce::{differential_check, explore_reduced, DifferentialReport};
 use bbverify::sim::{AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 
-/// Runs the differential check at `mode` and asserts it passed.
+/// Runs the differential check and asserts it passed.
 fn check<A: ObjectAlgorithm, S: SequentialSpec>(
     alg: &A,
     spec: &AtomicSpec<S>,
     threads: u8,
     ops: u32,
     lock_freedom: bool,
-    mode: ReduceMode,
 ) -> DifferentialReport {
-    let r = differential_check(alg, spec, Bound::new(threads, ops), mode, lock_freedom)
+    let r = differential_check(alg, spec, Bound::new(threads, ops), lock_freedom)
         .expect("exploration fits in the default budget");
     assert!(r.passed(), "{}", r.render());
     r
 }
 
-/// One differential case: `≈div` + verdict equality at `--reduce full`.
-/// The individual layers are exercised on representative algorithms below
-/// and by the `bb-reduce` unit tests; running every algorithm at every mode
-/// would triple the runtime for little extra coverage.
+/// One differential case: `≈div` + verdict equality at `--reduce por`.
 macro_rules! case {
     ($test:ident, $alg:expr, $spec:expr, $t:expr, $o:expr, lock_freedom = $lf:expr) => {
         #[test]
         fn $test() {
-            check(&$alg, &AtomicSpec::new($spec), $t, $o, $lf, ReduceMode::Full);
+            check(&$alg, &AtomicSpec::new($spec), $t, $o, $lf);
         }
     };
 }
@@ -81,7 +77,6 @@ fn hw_queue_lock_freedom_bug_survives_reduction() {
         3,
         1,
         true,
-        ReduceMode::Full,
     );
     assert!(r.full_linearizable && r.reduced_linearizable);
     assert_eq!(r.full_lock_free, Some(false));
@@ -96,7 +91,6 @@ fn treiber_hp_fu_bug_survives_reduction() {
         2,
         2,
         true,
-        ReduceMode::Full,
     );
     assert_eq!(r.full_lock_free, Some(false));
     assert_eq!(r.reduced_lock_free, Some(false));
@@ -110,39 +104,35 @@ fn hm_list_buggy_violation_survives_reduction() {
         2,
         2,
         false,
-        ReduceMode::Full,
     );
     assert!(!r.full_linearizable && !r.reduced_linearizable);
 }
 
-/// The individual layers are each sound on their own for representative
-/// algorithms of each annotation shape: CAS-loop with private allocation
-/// (Treiber), per-thread shared slots (TreiberHp), lock ownership (coarse).
+/// POR is sound for representative algorithms of each annotation shape:
+/// CAS-loop with private allocation (Treiber), per-thread shared slots
+/// (TreiberHp), lock ownership (coarse).
 #[test]
 fn individual_layers_on_representative_algorithms() {
-    for mode in [ReduceMode::Sym, ReduceMode::Por] {
-        check(&Treiber::new(&[1]), &AtomicSpec::new(SeqStack::new(&[1])), 2, 2, true, mode);
-        check(&TreiberHp::new(&[1], 2), &AtomicSpec::new(SeqStack::new(&[1])), 2, 2, true, mode);
-        check(
-            &CoarseLocked::new(SeqSet::new(&[1])),
-            &AtomicSpec::new(SeqSet::new(&[1])),
-            2,
-            2,
-            false,
-            mode,
-        );
-    }
+    check(&Treiber::new(&[1]), &AtomicSpec::new(SeqStack::new(&[1])), 2, 2, true);
+    check(&TreiberHp::new(&[1], 2), &AtomicSpec::new(SeqStack::new(&[1])), 2, 2, true);
+    check(
+        &CoarseLocked::new(SeqSet::new(&[1])),
+        &AtomicSpec::new(SeqSet::new(&[1])),
+        2,
+        2,
+        false,
+    );
 }
 
 /// Reduction is deterministic: the reduced LTS is byte-identical from run
 /// to run, and its branching partition equals the full-engine oracle's, for
-/// an algorithm exercising every reducer feature (ample chains, proviso
-/// fallbacks, symmetry with per-thread slot renaming).
+/// an algorithm exercising every reducer feature (ample chains and proviso
+/// fallbacks).
 #[test]
 fn reduced_exploration_is_deterministic() {
     let alg = TreiberHp::new(&[1], 2);
     let bound = Bound::new(2, 2);
-    let reduce = || explore_reduced(&alg, bound, ReduceMode::Full, &ExploreOptions::new());
+    let reduce = || explore_reduced(&alg, bound, &ExploreOptions::new());
     let (base, stats) = reduce().unwrap();
     assert!(stats.ample_states > 0, "reducer must actually fire: {stats}");
     assert_eq!(
