@@ -244,7 +244,7 @@ fn table2() {
                 if !$lf {
                     cfg = cfg.linearizability_only();
                 }
-                let r = verify_case_lts($name, cfg, &imp, &spec);
+                let r = verify_case_lts($name, cfg, &imp, &spec, &Watchdog::unlimited())?;
                 let lf_mark = match &r.lock_freedom {
                     None => "—".to_string(),
                     Some(l) => check(l.lock_free).to_string(),
@@ -619,7 +619,7 @@ fn phases() {
                 let imp = try_lts_of(&$alg, $th, $op)?;
                 let spec = try_lts_of(&AtomicSpec::new($spec), $th, $op)?;
                 let cfg = VerifyConfig::new(Bound::new($th, $op));
-                let _ = verify_case_lts($name, cfg, &imp, &spec);
+                verify_case_lts($name, cfg, &imp, &spec, &Watchdog::unlimited())?;
                 Ok(())
             });
             let session = bb_obs::finish();
@@ -713,7 +713,7 @@ fn verdicts(reduce: ReduceMode, cache: Option<Cache>) {
                         if !$lf {
                             cfg = cfg.linearizability_only();
                         }
-                        let r = verify_case_lts($name, cfg, &imp, &spec);
+                        let r = verify_case_lts($name, cfg, &imp, &spec, &Watchdog::unlimited())?;
                         let lf_mark = match &r.lock_freedom {
                             None => "—".to_string(),
                             Some(l) => check(l.lock_free).to_string(),

@@ -3,7 +3,7 @@
 use crate::linearizability::{verify_linearizability_opts, LinReport};
 use crate::lockfree::{verify_lock_freedom_opts, LockFreeReport};
 use bb_bisim::{Lasso, PartitionOptions};
-use bb_lts::budget::Watchdog;
+use bb_lts::budget::{Exhausted, Watchdog};
 use bb_lts::{ExploreError, ExploreLimits, ExploreOptions, Lts};
 use bb_sim::{explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 
@@ -98,31 +98,37 @@ where
     S: SequentialSpec,
 {
     let opts = ExploreOptions::limits(config.limits);
-    let imp = explore_system_with(alg, config.bound, &opts).map_err(ExploreError::from)?;
-    let sp = explore_system_with(spec, config.bound, &opts).map_err(ExploreError::from)?;
-    Ok(verify_case_lts(alg.name(), config, &imp, &sp))
+    let imp = explore_system_with(alg, config.bound, &opts)?;
+    let sp = explore_system_with(spec, config.bound, &opts)?;
+    Ok(verify_case_lts(alg.name(), config, &imp, &sp, &Watchdog::unlimited())?)
 }
 
-/// Variant of [`verify_case`] over pre-explored LTSs.
+/// Variant of [`verify_case`] over pre-explored LTSs: the pipeline of
+/// Fig. 1 (Thm 5.3, then Thm 5.9 when `config` asks for it), every stage
+/// governed by `wd`.
+///
+/// # Errors
+///
+/// Returns the first stage exhaustion of `wd`'s budget.
 pub fn verify_case_lts(
     name: &'static str,
     config: VerifyConfig,
     imp: &Lts,
     spec: &Lts,
-) -> CaseReport {
-    let popts = PartitionOptions;
-    let wd = Watchdog::unlimited();
-    let linearizability = verify_linearizability_opts(imp, spec, &wd, popts)
-        .expect("an unlimited watchdog never trips");
-    let lock_freedom = config.check_lock_freedom.then(|| {
-        verify_lock_freedom_opts(imp, &wd, popts).expect("an unlimited watchdog never trips")
-    });
-    CaseReport {
+    wd: &Watchdog,
+) -> Result<CaseReport, Exhausted> {
+    let linearizability = verify_linearizability_opts(imp, spec, wd, PartitionOptions)?;
+    let lock_freedom = if config.check_lock_freedom {
+        Some(verify_lock_freedom_opts(imp, wd, PartitionOptions)?)
+    } else {
+        None
+    };
+    Ok(CaseReport {
         name,
         bound: config.bound,
         linearizability,
         lock_freedom,
-    }
+    })
 }
 
 /// Renders a divergence/starvation lasso in the CADP style of Fig. 9:

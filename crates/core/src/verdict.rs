@@ -8,11 +8,7 @@
 //! stage exhausts its budget, walks a fallback ladder:
 //!
 //! 1. [`Rung::Direct`] — the pipeline as requested;
-//! 2. [`Rung::StrongReduction`] — pre-reduce both systems by their *strong*
-//!    bisimulation quotients first. Strong bisimilarity refines branching
-//!    bisimilarity and preserves/reflects divergence, so every verdict on
-//!    the reduced systems is a verdict on the originals;
-//! 3. [`Rung::ReducedBound`] — retry at a smaller client bound. Histories
+//! 2. [`Rung::ReducedBound`] — retry at a smaller client bound. Histories
 //!    of the smaller client embed in the larger one, so a *refutation*
 //!    transfers soundly to the requested bound, but a proof does not: a
 //!    positive answer is downgraded to [`Verdict::Inconclusive`] naming the
@@ -22,10 +18,7 @@
 //! ladder — a blown deadline fails the remaining rungs fast — while
 //! state/transition/memory caps are per stage and reset on every rung.
 
-use crate::linearizability::verify_linearizability_opts;
-use crate::lockfree::verify_lock_freedom_opts;
-use crate::report::CaseReport;
-use bb_bisim::PartitionOptions;
+use crate::report::{verify_case_lts, CaseReport, VerifyConfig};
 use bb_lts::budget::{Budget, Exhausted, Watchdog};
 use bb_lts::{ExploreOptions, Lts};
 use bb_sim::{explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
@@ -86,8 +79,6 @@ impl fmt::Display for Verdict {
 pub enum Rung {
     /// The pipeline exactly as requested.
     Direct,
-    /// Strong-bisimulation pre-reduction of both systems.
-    StrongReduction,
     /// The requested pipeline at a smaller client bound.
     ReducedBound,
 }
@@ -96,7 +87,6 @@ impl fmt::Display for Rung {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Rung::Direct => write!(f, "direct"),
-            Rung::StrongReduction => write!(f, "strong-reduction"),
             Rung::ReducedBound => write!(f, "reduced-bound"),
         }
     }
@@ -172,6 +162,9 @@ pub struct GovernedReport {
     pub attempts: Vec<Attempt>,
     /// The full classical report of the answering rung.
     pub details: Option<CaseReport>,
+    /// The answering rung's explored implementation LTS, handed back for
+    /// rendering its lassos and for follow-up checks on the same Δ.
+    pub imp: Option<Lts>,
     /// Total wall-clock time across all rungs.
     pub elapsed: Duration,
 }
@@ -253,36 +246,6 @@ fn reduced_bound(b: Bound) -> Option<Bound> {
     }
 }
 
-/// One fully-governed pipeline run over pre-explored LTSs.
-fn pipeline_lts(
-    name: &'static str,
-    bound: Bound,
-    check_lock_freedom: bool,
-    imp: &Lts,
-    spec: &Lts,
-    wd: &Watchdog,
-    opts: PartitionOptions,
-) -> Result<CaseReport, Exhausted> {
-    let linearizability = verify_linearizability_opts(imp, spec, wd, opts)?;
-    let lock_freedom = if check_lock_freedom {
-        Some(verify_lock_freedom_opts(imp, wd, opts)?)
-    } else {
-        None
-    };
-    Ok(CaseReport {
-        name,
-        bound,
-        linearizability,
-        lock_freedom,
-    })
-}
-
-/// Strong-bisimulation pre-reduction: replace `lts` by its strong quotient.
-fn strong_reduce(lts: &Lts, wd: &Watchdog, opts: PartitionOptions) -> Result<Lts, Exhausted> {
-    let p = bb_bisim::partition_with(lts, bb_bisim::Equivalence::Strong, wd, opts)?;
-    Ok(bb_bisim::quotient(lts, &p).lts)
-}
-
 /// An explorer producing the (implementation, specification) LTS pair for
 /// a bound under a watchdog's budget — the plug point of
 /// [`verify_case_governed_with`].
@@ -314,9 +277,9 @@ where
 /// explorer: `explorer(bound, wd)` must produce the (implementation,
 /// specification) LTS pair for `bound` under the watchdog's budget.
 ///
-/// This is the plug point for alternative state-space constructions —
-/// `bb-reduce` passes an explorer that builds the partial-order reduced
-/// systems, reusing the rungs and verdict scoping unchanged.
+/// This is the plug point for alternative state-space constructions — the
+/// `bbv` runner passes an explorer that seeds from checkpoints, spills and
+/// applies `--reduce`, reusing the rungs and verdict scoping unchanged.
 pub fn verify_case_governed_with(
     name: &'static str,
     config: &GovernedConfig,
@@ -324,220 +287,59 @@ pub fn verify_case_governed_with(
 ) -> GovernedReport {
     let start = Instant::now();
     let wd = Watchdog::new(config.budget.clone());
-    let popts = PartitionOptions;
+    let mut rungs = vec![(Rung::Direct, config.bound)];
+    if config.fallback {
+        rungs.extend(reduced_bound(config.bound).map(|small| (Rung::ReducedBound, small)));
+    }
     let mut attempts: Vec<Attempt> = Vec::new();
-    // Explored systems are cached per bound so later rungs don't redo a
-    // successful exploration.
-    let mut cache: Option<(Bound, Lts, Lts)> = None;
-
-    let explore_pair =
-        |bound: Bound, cache: &mut Option<(Bound, Lts, Lts)>, wd: &Watchdog| {
-            if let Some((b, imp, sp)) = cache.as_ref() {
-                if *b == bound {
-                    return Ok((imp.clone(), sp.clone()));
-                }
-            }
-            // Completed explorations are the coarsest checkpoint unit: a
-            // resumed run reloads them from the session instead of
-            // re-exploring. Section names encode the pipeline position;
-            // the session's config tag pins everything else (case, reduce
-            // mode, ...), so a section can never seed a different setup.
-            let persist = bb_persist::active();
-            // The state-encoding version is part of the section identity: a
-            // checkpointed LTS from an older encoding must never seed a run
-            // whose (version-bumped) encoding could enumerate differently.
-            let tag = format!(
-                "{name}/e{}/b{}-{}",
-                bb_sim::STATE_ENCODING_VERSION,
-                bound.threads,
-                bound.ops_per_thread
-            );
-            if let Some(p) = persist.as_ref() {
-                let seeded = p
-                    .seed_lts(&format!("{tag}/imp"))
-                    .zip(p.seed_lts(&format!("{tag}/spec")));
-                if let Some((imp, sp)) = seeded {
-                    *cache = Some((bound, imp.clone(), sp.clone()));
-                    return Ok((imp, sp));
-                }
-            }
-            let (imp, sp) = explorer(bound, wd)?;
-            if let Some(p) = persist.as_ref() {
-                p.offer_lts(&format!("{tag}/imp"), &imp);
-                p.offer_lts(&format!("{tag}/spec"), &sp);
-            }
-            *cache = Some((bound, imp.clone(), sp.clone()));
-            Ok((imp, sp))
+    for (rung, bound) in rungs {
+        let rung_span = bb_obs::span("rung")
+            .with("rung", rung.to_string())
+            .with("threads", bound.threads as u64)
+            .with("ops", bound.ops_per_thread as u64);
+        let mut case = VerifyConfig::new(bound);
+        case.check_lock_freedom = config.check_lock_freedom;
+        let run = explorer(bound, &wd).and_then(|(imp, sp)| {
+            Ok((verify_case_lts(name, case, &imp, &sp, &wd)?, imp))
+        });
+        rung_span.record("ok", u64::from(run.is_ok()));
+        drop(rung_span);
+        attempts.push(Attempt {
+            rung,
+            bound,
+            failure: run.as_ref().err().cloned(),
+        });
+        let Ok((report, imp)) = run else { continue };
+        // Histories at a smaller bound embed in the requested bound, so
+        // refutations transfer; proofs do not.
+        let scoped = |holds: bool, what: &str| match rung {
+            Rung::Direct => Verdict::of(holds),
+            Rung::ReducedBound if holds => Verdict::Inconclusive {
+                reason: format!(
+                    "{what} verified only at reduced bound {}-{}; \
+                     budget exhausted at requested bound {}-{}",
+                    bound.threads,
+                    bound.ops_per_thread,
+                    config.bound.threads,
+                    config.bound.ops_per_thread
+                ),
+            },
+            Rung::ReducedBound => Verdict::Refuted,
         };
-
-    let finish = |attempts: Vec<Attempt>,
-                      answered: (Rung, Bound),
-                      report: CaseReport,
-                      lin_verdict: Verdict,
-                      lf_verdict: Option<Verdict>| {
-        GovernedReport {
+        return GovernedReport {
             name,
             requested_bound: config.bound,
-            linearizability: lin_verdict,
-            lock_freedom: lf_verdict,
-            answered: Some(answered),
-            attempts,
-            details: Some(report),
-            elapsed: start.elapsed(),
-        }
-    };
-
-    // --- Rung 1: direct --------------------------------------------------
-    let rung_span = bb_obs::span("rung")
-        .with("rung", "direct")
-        .with("threads", config.bound.threads as u64)
-        .with("ops", config.bound.ops_per_thread as u64);
-    let direct = explore_pair(config.bound, &mut cache, &wd).and_then(|(imp, sp)| {
-        pipeline_lts(
-            name,
-            config.bound,
-            config.check_lock_freedom,
-            &imp,
-            &sp,
-            &wd,
-            popts,
-        )
-    });
-    rung_span.record("ok", u64::from(direct.is_ok()));
-    drop(rung_span);
-    match direct {
-        Ok(report) => {
-            let lin = Verdict::of(report.linearizable());
-            let lf = report
+            linearizability: scoped(report.linearizable(), "linearizability"),
+            lock_freedom: report
                 .lock_freedom
                 .as_ref()
-                .map(|r| Verdict::of(r.lock_free));
-            attempts.push(Attempt {
-                rung: Rung::Direct,
-                bound: config.bound,
-                failure: None,
-            });
-            return finish(attempts, (Rung::Direct, config.bound), report, lin, lf);
-        }
-        Err(e) => attempts.push(Attempt {
-            rung: Rung::Direct,
-            bound: config.bound,
-            failure: Some(e),
-        }),
-    }
-
-    if config.fallback {
-        // --- Rung 2: strong pre-reduction --------------------------------
-        // Only applicable when the exploration itself succeeded: the
-        // reduction runs on the explored systems.
-        if cache.as_ref().is_some_and(|(b, _, _)| *b == config.bound) {
-            let rung_span = bb_obs::span("rung")
-                .with("rung", "strong-reduction")
-                .with("threads", config.bound.threads as u64)
-                .with("ops", config.bound.ops_per_thread as u64);
-            let strong = explore_pair(config.bound, &mut cache, &wd).and_then(|(imp, sp)| {
-                let imp_r = strong_reduce(&imp, &wd, popts)?;
-                let sp_r = strong_reduce(&sp, &wd, popts)?;
-                pipeline_lts(
-                    name,
-                    config.bound,
-                    config.check_lock_freedom,
-                    &imp_r,
-                    &sp_r,
-                    &wd,
-                    popts,
-                )
-            });
-            rung_span.record("ok", u64::from(strong.is_ok()));
-            drop(rung_span);
-            match strong {
-                Ok(report) => {
-                    // Strong bisimilarity preserves every checked property,
-                    // so these verdicts are genuine for the requested bound.
-                    let lin = Verdict::of(report.linearizable());
-                    let lf = report
-                        .lock_freedom
-                        .as_ref()
-                        .map(|r| Verdict::of(r.lock_free));
-                    attempts.push(Attempt {
-                        rung: Rung::StrongReduction,
-                        bound: config.bound,
-                        failure: None,
-                    });
-                    return finish(
-                        attempts,
-                        (Rung::StrongReduction, config.bound),
-                        report,
-                        lin,
-                        lf,
-                    );
-                }
-                Err(e) => attempts.push(Attempt {
-                    rung: Rung::StrongReduction,
-                    bound: config.bound,
-                    failure: Some(e),
-                }),
-            }
-        }
-
-        // --- Rung 3: reduced bound ---------------------------------------
-        if let Some(small) = reduced_bound(config.bound) {
-            let rung_span = bb_obs::span("rung")
-                .with("rung", "reduced-bound")
-                .with("threads", small.threads as u64)
-                .with("ops", small.ops_per_thread as u64);
-            let reduced = explore_pair(small, &mut cache, &wd).and_then(|(imp, sp)| {
-                pipeline_lts(
-                    name,
-                    small,
-                    config.check_lock_freedom,
-                    &imp,
-                    &sp,
-                    &wd,
-                    popts,
-                )
-            });
-            rung_span.record("ok", u64::from(reduced.is_ok()));
-            drop(rung_span);
-            match reduced {
-                Ok(report) => {
-                    // Histories at the smaller bound embed in the requested
-                    // bound, so refutations transfer; proofs do not.
-                    let scoped = |holds: bool, what: &str| {
-                        if holds {
-                            Verdict::Inconclusive {
-                                reason: format!(
-                                    "{what} verified only at reduced bound {}-{}; \
-                                     budget exhausted at requested bound {}-{}",
-                                    small.threads,
-                                    small.ops_per_thread,
-                                    config.bound.threads,
-                                    config.bound.ops_per_thread
-                                ),
-                            }
-                        } else {
-                            Verdict::Refuted
-                        }
-                    };
-                    let lin = scoped(report.linearizable(), "linearizability");
-                    let lf = report
-                        .lock_freedom
-                        .as_ref()
-                        .map(|r| scoped(r.lock_free, "lock-freedom"));
-                    attempts.push(Attempt {
-                        rung: Rung::ReducedBound,
-                        bound: small,
-                        failure: None,
-                    });
-                    return finish(attempts, (Rung::ReducedBound, small), report, lin, lf);
-                }
-                Err(e) => attempts.push(Attempt {
-                    rung: Rung::ReducedBound,
-                    bound: small,
-                    failure: Some(e),
-                }),
-            }
-        }
+                .map(|r| scoped(r.lock_free, "lock-freedom")),
+            answered: Some((rung, bound)),
+            attempts,
+            details: Some(report),
+            imp: Some(imp),
+            elapsed: start.elapsed(),
+        };
     }
 
     // Every rung exhausted: inconclusive across the board, naming the last
@@ -556,6 +358,7 @@ pub fn verify_case_governed_with(
         answered: None,
         attempts,
         details: None,
+        imp: None,
         elapsed: start.elapsed(),
     }
 }
@@ -639,6 +442,26 @@ mod tests {
     }
 
     #[test]
+    fn bisim_trip_falls_back_straight_to_the_reduced_bound() {
+        let (alg, spec) = msq();
+        // Enough transitions to explore 2-2, too few for its bisim stage.
+        let config = GovernedConfig::new(
+            Bound::new(2, 2),
+            Budget::unlimited().with_max_transitions(8_000),
+        );
+        let r = verify_case_governed(&alg, &spec, &config);
+        let rungs: Vec<Rung> = r.attempts.iter().map(|a| a.rung).collect();
+        assert_eq!(rungs, [Rung::Direct, Rung::ReducedBound], "{}", r.render());
+        let direct = r.attempts[0].failure.as_ref().expect("the direct rung exhausts");
+        assert_eq!(direct.stage, bb_lts::budget::Stage::Bisim, "{direct}");
+        assert!(r.attempts[1].failure.is_none());
+        assert_eq!(r.answered, Some((Rung::ReducedBound, Bound::new(2, 1))));
+        assert_eq!(r.imp.as_ref().map(Lts::num_states), Some(275));
+        let text = r.render();
+        assert!(!text.contains("strong-reduction"), "{text}");
+    }
+
+    #[test]
     fn overall_verdict_prefers_refuted() {
         let r = GovernedReport {
             name: "x",
@@ -650,6 +473,7 @@ mod tests {
             answered: None,
             attempts: vec![],
             details: None,
+            imp: None,
             elapsed: Duration::ZERO,
         };
         assert_eq!(r.overall(), Verdict::Refuted);

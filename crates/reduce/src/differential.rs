@@ -114,8 +114,8 @@ where
     if !check_lock_freedom {
         config = config.linearizability_only();
     }
-    let full_report = verify_case_lts(alg.name(), config, &full_imp, &full_spec);
-    let red_report = verify_case_lts(alg.name(), config, &red_imp, &red_spec);
+    let full_report = verify_case_lts(alg.name(), config, &full_imp, &full_spec, &wd)?;
+    let red_report = verify_case_lts(alg.name(), config, &red_imp, &red_spec, &wd)?;
 
     let full_lock_free = full_report.lock_freedom.as_ref().map(|r| r.lock_free);
     let reduced_lock_free = red_report.lock_freedom.as_ref().map(|r| r.lock_free);

@@ -20,8 +20,8 @@ use bb_algorithms::{
 };
 use bb_bisim::{partition, quotient, Equivalence};
 use bb_core::{
-    format_lasso, run_isolated, verify_case_governed_with, verify_case_lts, verify_wait_freedom,
-    GovernedConfig, Verdict, VerifyConfig,
+    format_lasso, run_isolated, verify_case_governed_with, verify_wait_freedom, GovernedConfig,
+    Verdict,
 };
 use bb_lts::budget::{CancelToken, Exhausted};
 use bb_lts::{to_aut, to_dot, Budget, ExploreOptions, Lts, Watchdog};
@@ -224,6 +224,13 @@ fn dispatch_named(spec: &JobSpec, ctl: &RunCtl, out: &mut RunOutput) -> i32 {
 /// the disk tier. With `--reduce`, the reduced
 /// system is unfolded instead and the reducer counters go to stderr
 /// (stdout stays diffable across modes).
+///
+/// Completed explorations are the coarsest checkpoint unit: with a
+/// checkpoint session installed, a previously completed section seeds the
+/// LTS directly, and a freshly explored one is offered back as soon as it
+/// completes. The session's config tag pins everything else (state
+/// encoding, case, reduce mode, ...), so a section can never seed a
+/// different setup.
 fn explore<A: ObjectAlgorithm>(
     alg: &A,
     bound: Bound,
@@ -231,51 +238,26 @@ fn explore<A: ObjectAlgorithm>(
     spec: &JobSpec,
     spill: Option<&SpillDir>,
 ) -> Result<Lts, Exhausted> {
+    let persist = bb_persist::active();
+    let section = format!("{}/b{}-{}", alg.name(), bound.threads, bound.ops_per_thread);
+    if let Some(lts) = persist.as_ref().and_then(|p| p.seed_lts(&section)) {
+        return Ok(lts);
+    }
     let mut eo = ExploreOptions::governed(wd);
     if let Some(sd) = spill {
         eo = eo.with_spill(sd);
     }
-    if spec.reduce == ReduceMode::None {
-        return explore_system_with(alg, bound, &eo);
-    }
-    let (lts, stats) = explore_reduced(alg, bound, &eo)?;
-    bb_obs::diag!("reduction {} [{}]: {stats}", spec.reduce, alg.name());
-    Ok(lts)
-}
-
-/// [`explore`] for the unbudgeted commands; exhaustion is an inconclusive
-/// outcome (exit 2), reported with the exhausted stage and its partial
-/// statistics.
-///
-/// With a checkpoint session installed, a previously completed section
-/// seeds the LTS directly, and a freshly explored one is offered back
-/// (stage boundaries are always cut points).
-fn explore_or_inconclusive<A: ObjectAlgorithm>(
-    alg: &A,
-    bound: Bound,
-    wd: &Watchdog,
-    spec: &JobSpec,
-    spill: Option<&SpillDir>,
-) -> Result<Lts, i32> {
-    let persist = bb_persist::active();
-    let section = format!("{}/b{}-{}", alg.name(), bound.threads, bound.ops_per_thread);
+    let lts = if spec.reduce == ReduceMode::None {
+        explore_system_with(alg, bound, &eo)?
+    } else {
+        let (lts, stats) = explore_reduced(alg, bound, &eo)?;
+        bb_obs::diag!("reduction {} [{}]: {stats}", spec.reduce, alg.name());
+        lts
+    };
     if let Some(p) = persist.as_ref() {
-        if let Some(lts) = p.seed_lts(&section) {
-            return Ok(lts);
-        }
+        p.offer_lts(&section, &lts);
     }
-    match explore(alg, bound, wd, spec, spill) {
-        Ok(lts) => {
-            if let Some(p) = persist.as_ref() {
-                p.offer_lts(&section, &lts);
-            }
-            Ok(lts)
-        }
-        Err(e) => {
-            eprintln!("inconclusive: {e}");
-            Err(EXIT_INCONCLUSIVE)
-        }
-    }
+    Ok(lts)
 }
 
 fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
@@ -293,14 +275,20 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
     }
     let spill = ctl.spill_dir.as_deref().map(SpillDir::new);
     let spill = spill.as_ref();
-    if spec.command == Command::Verify && spec.budgeted() {
-        return verify_governed(alg, seq, spec, ctl, spill, non_blocking, out);
+    if spec.command == Command::Verify {
+        return verify(alg, seq, spec, ctl, spill, non_blocking, out);
     }
 
+    // `check` and `quotient` explore Δ alone; exhaustion is an
+    // inconclusive outcome (exit 2), reported with the exhausted stage and
+    // its partial statistics.
     let wd = Watchdog::new(budget_of(spec, ctl));
-    let imp = match explore_or_inconclusive(alg, bound, &wd, spec, spill) {
+    let imp = match explore(alg, bound, &wd, spec, spill) {
         Ok(l) => l,
-        Err(c) => return c,
+        Err(e) => {
+            eprintln!("inconclusive: {e}");
+            return EXIT_INCONCLUSIVE;
+        }
     };
 
     if spec.command == Command::Check {
@@ -343,62 +331,23 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
         return if result.holds { EXIT_PROVED } else { EXIT_REFUTED };
     }
 
-    if spec.command == Command::Quotient {
-        let q = quotient(&imp, &partition(&imp, Equivalence::Branching));
-        outln!(out, "algorithm : {}", alg.name());
-        outln!(out, "bound     : {}-{}", bound.threads, bound.ops_per_thread);
-        outln!(out, "|Δ|       : {}", imp.num_states());
-        outln!(out, "|Δ/≈|     : {}", q.lts.num_states());
-        outln!(
-            out,
-            "reduction : ×{:.1}",
-            imp.num_states() as f64 / q.lts.num_states() as f64
-        );
-        // Both artifacts are always rendered: the cache stores them so a
-        // later hit can honour paths the original invocation did not ask
-        // for, and the requested subset is written after dispatch.
-        out.artifacts.push(("dot".into(), to_dot(&q.lts, alg.name()).into_bytes()));
-        out.artifacts.push(("aut".into(), to_aut(&q.lts).into_bytes()));
-        return EXIT_PROVED;
-    }
-
-    let sp = match explore_or_inconclusive(seq, bound, &wd, spec, spill) {
-        Ok(l) => l,
-        Err(c) => return c,
-    };
-    let mut cfg = VerifyConfig::new(bound);
-    if !spec.check_lock_freedom || !non_blocking {
-        cfg = cfg.linearizability_only();
-    }
-    let report = verify_case_lts(alg.name(), cfg, &imp, &sp);
-    outln!(out, "{}", report.summary());
-    if let Some(v) = &report.linearizability.violation {
-        outln!(out, "non-linearizable history:");
-        outln!(out, "  {}", v.to_pretty());
-    }
-    if let Some(lf) = &report.lock_freedom {
-        if let Some(lasso) = &lf.divergence {
-            outln!(out, "lock-freedom violation (τ-loop):");
-            for line in format_lasso(&imp, lasso).lines() {
-                outln!(out, "  {line}");
-            }
-        }
-    }
-    if spec.wait_freedom {
-        let wf = verify_wait_freedom(&imp, spec.threads);
-        if wf.wait_free() {
-            outln!(out, "starvation : none under the bounded client");
-        } else {
-            outln!(out, "starvation : threads {:?} can spin forever", wf.starving_threads());
-        }
-    }
-    let failed = !report.linearizable()
-        || report.lock_freedom.as_ref().is_some_and(|l| !l.lock_free);
-    if failed {
-        EXIT_REFUTED
-    } else {
-        EXIT_PROVED
-    }
+    // `quotient`.
+    let q = quotient(&imp, &partition(&imp, Equivalence::Branching));
+    outln!(out, "algorithm : {}", alg.name());
+    outln!(out, "bound     : {}-{}", bound.threads, bound.ops_per_thread);
+    outln!(out, "|Δ|       : {}", imp.num_states());
+    outln!(out, "|Δ/≈|     : {}", q.lts.num_states());
+    outln!(
+        out,
+        "reduction : ×{:.1}",
+        imp.num_states() as f64 / q.lts.num_states() as f64
+    );
+    // Both artifacts are always rendered: the cache stores them so a
+    // later hit can honour paths the original invocation did not ask
+    // for, and the requested subset is written after dispatch.
+    out.artifacts.push(("dot".into(), to_dot(&q.lts, alg.name()).into_bytes()));
+    out.artifacts.push(("aut".into(), to_aut(&q.lts).into_bytes()));
+    EXIT_PROVED
 }
 
 /// `reduce-check`: run the differential harness — full and reduced state
@@ -428,9 +377,13 @@ fn reduce_check<A: ObjectAlgorithm, S: SequentialSpec>(
     }
 }
 
-/// The budget-governed `verify` path: run the fallback ladder over
-/// [`explore`] and map the overall verdict onto the exit code.
-fn verify_governed<A: ObjectAlgorithm, S: SequentialSpec>(
+/// `verify`: the fallback ladder over [`explore`], the one route for every
+/// run, with the overall verdict mapped onto the exit code. The rendering
+/// depends on the budget: a budgeted run may fall back to a smaller bound,
+/// so it prints the ladder report and one-line lassos; an unbudgeted run
+/// makes one direct attempt and prints the classical report with the full
+/// lasso blocks.
+fn verify<A: ObjectAlgorithm, S: SequentialSpec>(
     alg: &A,
     seq: &AtomicSpec<S>,
     spec: &JobSpec,
@@ -439,37 +392,54 @@ fn verify_governed<A: ObjectAlgorithm, S: SequentialSpec>(
     non_blocking: bool,
     out: &mut RunOutput,
 ) -> i32 {
-    let bound = Bound::new(spec.threads, spec.ops);
-    let mut config = GovernedConfig::new(bound, budget_of(spec, ctl));
+    let budgeted = spec.budgeted();
+    let mut config = GovernedConfig::new(Bound::new(spec.threads, spec.ops), budget_of(spec, ctl));
     if !spec.check_lock_freedom || !non_blocking {
         config = config.linearizability_only();
     }
-    if spec.no_fallback {
+    if !budgeted || spec.no_fallback {
         config = config.no_fallback();
     }
     let explorer = |bound: Bound, wd: &Watchdog| {
         Ok((explore(alg, bound, wd, spec, spill)?, explore(seq, bound, wd, spec, spill)?))
     };
     let report = verify_case_governed_with(alg.name(), &config, &explorer);
-    {
+    if budgeted {
         use std::fmt::Write as _;
         let _ = write!(out.stdout, "{}", report.render());
     }
-    if let Some(details) = &report.details {
+    if let (Some(details), Some(imp)) = (&report.details, &report.imp) {
         outln!(out, "{}", details.summary());
         if let Some(v) = &details.linearizability.violation {
             outln!(out, "non-linearizable history:");
             outln!(out, "  {}", v.to_pretty());
         }
-        if let Some(lf) = &details.lock_freedom {
-            if let Some(lasso) = &lf.divergence {
+        if let Some(lasso) = details.lock_freedom.as_ref().and_then(|lf| lf.divergence.as_ref()) {
+            if budgeted {
                 outln!(
                     out,
                     "lock-freedom violation: τ-loop of {} step(s) after a {}-step prefix",
                     lasso.cycle.len(),
                     lasso.prefix.len()
                 );
+            } else {
+                outln!(out, "lock-freedom violation (τ-loop):");
+                for line in format_lasso(imp, lasso).lines() {
+                    outln!(out, "  {line}");
+                }
             }
+        }
+        if spec.wait_freedom {
+            let wf = verify_wait_freedom(imp, details.bound.threads);
+            if wf.wait_free() {
+                outln!(out, "starvation : none under the bounded client");
+            } else {
+                outln!(out, "starvation : threads {:?} can spin forever", wf.starving_threads());
+            }
+        }
+    } else if !budgeted {
+        if let Some(e) = report.attempts.last().and_then(|a| a.failure.as_ref()) {
+            eprintln!("inconclusive: {e}");
         }
     }
     match report.overall() {
@@ -483,6 +453,13 @@ fn verify_governed<A: ObjectAlgorithm, S: SequentialSpec>(
 mod tests {
     use super::*;
 
+    /// The checkpoint session is process-global and `execute` tears it
+    /// down after every run, so tests that execute jobs take turns.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn spec(alg: &str) -> JobSpec {
         JobSpec {
             algorithm: alg.into(),
@@ -494,6 +471,7 @@ mod tests {
 
     #[test]
     fn verify_and_quotient_produce_buffered_outcomes() {
+        let _serial = serial();
         let r = execute(&spec("treiber"), None, &RunCtl::default());
         assert_eq!(r.exit_code, EXIT_PROVED);
         assert!(!r.cache_hit);
@@ -508,6 +486,7 @@ mod tests {
 
     #[test]
     fn cache_roundtrip_is_byte_identical_and_counted() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("bb-runner-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = Cache::open(&dir).unwrap();
@@ -523,8 +502,40 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Cancellation governs the pipeline after exploration too: with both
+    /// LTSs seeded from a checkpoint there is nothing left to explore, and
+    /// an unbudgeted run cancelled before it starts still ends inconclusive.
+    #[test]
+    fn cancel_reaches_the_pipeline_of_a_seeded_unbudgeted_run() {
+        let _serial = serial();
+        let dir = std::env::temp_dir().join(format!("bb-runner-cancel-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = spec("ms-queue");
+        s.ops = 2;
+        let ctl = RunCtl {
+            checkpoint: Some(CheckpointCtl {
+                dir: dir.clone(),
+                every: 1,
+                argv: s.to_argv(),
+            }),
+            ..RunCtl::default()
+        };
+        let first = execute(&s, None, &ctl);
+        assert_eq!(first.exit_code, EXIT_PROVED, "{}", first.stdout);
+        let doc = bb_persist::Checkpoint::load(&dir).expect("the run left a checkpoint");
+        for section in ["lts/MS lock-free queue/b2-2", "lts/queue-spec/b2-2"] {
+            assert!(doc.sections.contains_key(section), "{:?}", doc.sections.keys());
+        }
+        ctl.cancel.cancel();
+        let cancelled = execute(&s, None, &ctl);
+        assert_eq!(cancelled.exit_code, EXIT_INCONCLUSIVE, "{}", cancelled.stdout);
+        assert!(cancelled.stdout.is_empty(), "{}", cancelled.stdout);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn pre_tripped_cancel_token_is_inconclusive() {
+        let _serial = serial();
         let ctl = RunCtl::default();
         ctl.cancel.cancel();
         let mut s = spec("ms-queue");

@@ -440,12 +440,20 @@ fn cache_admin(args: &[String]) -> i32 {
 
 /// `bbv reduce-check all`: sweep the differential check over the whole
 /// roster, reporting every algorithm and returning the worst exit code.
+/// The options are parsed once, so each retired-switch note prints once.
 fn reduce_check_all(extra: &[String]) -> i32 {
+    let opts = match parse_options(extra) {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return EXIT_USAGE;
+        }
+    };
     let mut worst = EXIT_PROVED;
     for (name, _) in ALGORITHMS {
         let mut args: Vec<String> = vec![name.to_string()];
         args.extend(extra.iter().cloned());
-        worst = worst.max(run(&args, Command::ReduceCheck));
+        worst = worst.max(run_parsed(&args, &opts, Command::ReduceCheck));
     }
     worst
 }
@@ -501,19 +509,24 @@ fn write_obs_outputs(session: &bb_obs::Session, opts: &Options, algorithm: &str,
 
 /// Runs one direct verification command through the shared runner.
 fn run(args: &[String], command: Command) -> i32 {
-    let Some(name) = args.first() else {
+    if args.is_empty() {
         eprintln!("missing algorithm name; try `bbv list`");
         return EXIT_USAGE;
-    };
-    let opts = match parse_options(&args[1..]) {
-        Ok(o) => o,
+    }
+    match parse_options(&args[1..]) {
+        Ok(opts) => run_parsed(args, &opts, command),
         Err(e) => {
             eprintln!("error: {e}");
-            return EXIT_USAGE;
+            EXIT_USAGE
         }
-    };
+    }
+}
+
+/// [`run`] with the options already parsed from `args[1..]`; `args[0]` is
+/// the algorithm name.
+fn run_parsed(args: &[String], opts: &Options, command: Command) -> i32 {
     // Accept underscores interchangeably with dashes (`ms_queue` = `ms-queue`).
-    let canon = name.replace('_', "-");
+    let canon = args[0].replace('_', "-");
     let recording = opts.metrics.is_some() || opts.trace.is_some() || opts.progress;
     if recording {
         bb_obs::install(bb_obs::ObsConfig {
@@ -528,11 +541,11 @@ fn run(args: &[String], command: Command) -> i32 {
         let _root = bb_obs::span("bbv")
             .with("command", command.as_str())
             .with("algorithm", canon.as_str());
-        run_spec(&spec, &opts, args)
+        run_spec(&spec, opts, args)
     };
     if recording {
         if let Some(session) = bb_obs::finish() {
-            write_obs_outputs(&session, &opts, &canon, command);
+            write_obs_outputs(&session, opts, &canon, command);
         }
     }
     code

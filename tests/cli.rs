@@ -230,7 +230,7 @@ fn bad_budget_values_are_usage_errors() {
 
 #[test]
 fn wait_freedom_flag_reports_starvation() {
-    let out = bbv(&[
+    let args = [
         "verify",
         "hw-queue",
         "--threads",
@@ -240,10 +240,28 @@ fn wait_freedom_flag_reports_starvation() {
         "--domain",
         "1",
         "--wait-freedom",
+    ];
+    // Unbudgeted and budgeted runs share one pipeline; both report it.
+    for extra in [&[][..], &["--timeout", "60"]] {
+        let out = bbv(&[&args[..], extra].concat());
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("starvation"), "{extra:?}: {text}");
+        assert!(text.contains("spin forever"), "{extra:?}: {text}");
+    }
+}
+
+/// `reduce-check all` parses its options once for the whole roster, so
+/// each retired-switch note is printed once, not once per algorithm.
+#[test]
+fn reduce_check_all_prints_each_retired_note_once() {
+    let out = bbv(&[
+        "reduce-check", "all", "--threads", "2", "--ops", "1", "--reduce", "sym", "--jobs", "2",
     ]);
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("starvation"), "{text}");
-    assert!(text.contains("spin forever"), "{text}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    for flag in ["--reduce sym", "--jobs"] {
+        let notes = err.lines().filter(|l| l.starts_with("note: ") && l.contains(flag)).count();
+        assert_eq!(notes, 1, "{flag}: {err}");
+    }
 }
 
 #[test]
